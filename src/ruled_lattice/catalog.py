@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import coxeter
+from .base import SMALL_CASE_LABELS
 from .coxeter import CoxeterSystem
 from .lattice import (
     HomologyClass,
@@ -158,16 +159,6 @@ class GroupDescription:
 
 # ---------------------------------------------------------------------------
 # small-case catalog
-
-SMALL_CASE_LABELS = (
-    "CP2",
-    "S2xS2",
-    "twisted-S2xS2",
-    "YxS2",
-    "twisted-YxS2",
-    "blownup-S2xS2",
-    "blownup-YxS2",
-)
 
 _ALIASES = {
     "cp2": "CP2",

@@ -16,56 +16,84 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from typing import Callable, Optional, Sequence
 
-from .catalog import (
-    SMALL_CASE_LABELS,
-    decompose_O12,
-    describe_diffeotopy,
-    evaluate_o12_word,
-    o12_model,
-)
-from .coxeter import (
+from .base import (
     CoxeterError,
-    CoxeterSystem,
-    CrystallographicStructure,
-    crystallographic_lattice_invariance,
-    from_name,
-    gram_determinant,
-    is_finite_type,
-    standard_crystal,
-    verify_crystallographic,
-)
-from .lattice import (
-    HomologyClass,
-    LatticeAutomorphism,
-    LatticeError,
-    ManifoldModel,
-    pairing,
-    reflection_along,
-)
-from .sw import (
-    SphereCandidate,
-    SWError,
-    Verdict,
-    certify_sphere_class,
-    dichotomy_search,
-    extremal_sequence,
-    sw_inequality_holds,
-)
-from .weyl import (
     InternalConsistencyError,
-    NotReducedError,
-    PeriodVector,
-    expected_coxeter_system,
-    generator_set,
-    lagrangian_system,
-    maximal_system_membership,
-    orbit,
-    reduce_class,
-    reduce_periods,
-    verify_presentation,
+    LatticeError,
+    SMALL_CASE_LABELS,
+    SWError,
 )
+
+# The library names the subcommands use, by home module.  A command names
+# the modules it needs and main binds their names into this module's globals
+# just before dispatch, so a cold call loads only what its subcommand uses.
+# Binding never replaces a name already set, so a wrapper installed with
+# setattr (a tracer, a test double) stays in place.
+_LIBRARY = {
+    "catalog": (
+        "decompose_O12",
+        "describe_diffeotopy",
+        "evaluate_o12_word",
+        "o12_model",
+    ),
+    "coxeter": (
+        "CoxeterSystem",
+        "CrystallographicStructure",
+        "crystallographic_lattice_invariance",
+        "from_name",
+        "gram_determinant",
+        "is_finite_type",
+        "standard_crystal",
+        "verify_crystallographic",
+    ),
+    "lattice": (
+        "HomologyClass",
+        "LatticeAutomorphism",
+        "ManifoldModel",
+        "pairing",
+        "reflection_along",
+    ),
+    "sw": (
+        "SphereCandidate",
+        "Verdict",
+        "certify_sphere_class",
+        "dichotomy_search",
+        "extremal_sequence",
+        "sw_inequality_holds",
+    ),
+    "weyl": (
+        "NotReducedError",
+        "PeriodVector",
+        "expected_coxeter_system",
+        "generator_set",
+        "lagrangian_system",
+        "maximal_system_membership",
+        "orbit",
+        "reduce_class",
+        "reduce_periods",
+        "verify_presentation",
+    ),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(modules: Sequence[str]) -> None:
+    for module in modules:
+        lib = import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: a library name read from outside resolves before main binds it
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_HOME[name],))
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,6 +226,7 @@ class _Command:
     configure: Callable[[argparse.ArgumentParser], None]
     gather: Callable[[argparse.Namespace], dict]
     run: Callable[[dict], _Outcome]
+    modules: tuple[str, ...]  # library modules gather and run use
 
 
 def _conf_model_only(p: argparse.ArgumentParser) -> None:
@@ -571,11 +600,12 @@ def _run_crystal_check(inp: dict) -> _Outcome:
     return _Outcome(result, tuple(lines))
 
 
+# keyed by Verdict value, so the table needs no sw import
 _VERDICT_TEXT = {
-    Verdict.CONSTRAINT_HOLDS: "constraint-holds",
-    Verdict.DOLGACHEV_EXCEPTION: "Dolgachev-exception",
-    Verdict.SW_PROHIBITED: "SW-prohibited",
-    Verdict.VIOLATION: "violation",
+    "constraint-holds": "constraint-holds",
+    "dolgachev-exception": "Dolgachev-exception",
+    "sw-prohibited": "SW-prohibited",
+    "violation": "violation",
 }
 
 
@@ -611,7 +641,7 @@ def _run_sw_check(inp: dict) -> _Outcome:
         f"class:       {norm}",
         f"square:      {-norm.q}",
         f"genus bound: {bound_text}",
-        f"verdict:     {_VERDICT_TEXT[cert.verdict]}",
+        f"verdict:     {_VERDICT_TEXT[cert.verdict.value]}",
     ]
     if cert.dolgachev_m is not None:
         lines.append(f"family:      Dolgachev, m = {cert.dolgachev_m}")
@@ -753,6 +783,7 @@ _COMMANDS = {
             _conf_model_only,
             _gather_model_only,
             _run_manifold_info,
+            ("lattice", "weyl"),
         ),
         _Command(
             "pair",
@@ -760,6 +791,7 @@ _COMMANDS = {
             _conf_pair,
             _gather_pair,
             _run_pair,
+            ("lattice",),
         ),
         _Command(
             "reflect",
@@ -767,6 +799,7 @@ _COMMANDS = {
             _conf_reflect,
             _gather_reflect,
             _run_reflect,
+            ("lattice",),
         ),
         _Command(
             "orbit",
@@ -774,6 +807,7 @@ _COMMANDS = {
             _conf_orbit,
             _gather_orbit,
             _run_orbit,
+            ("lattice", "weyl"),
         ),
         _Command(
             "reduce-periods",
@@ -781,6 +815,7 @@ _COMMANDS = {
             _conf_periods,
             _gather_periods,
             _run_reduce_periods,
+            ("weyl",),
         ),
         _Command(
             "reduce-class",
@@ -788,6 +823,7 @@ _COMMANDS = {
             _conf_reduce_class,
             _gather_reduce_class,
             _run_reduce_class,
+            ("lattice", "weyl"),
         ),
         _Command(
             "lagrangian-system",
@@ -795,6 +831,7 @@ _COMMANDS = {
             _conf_periods,
             _gather_periods,
             _run_lagrangian,
+            ("weyl",),
         ),
         _Command(
             "coxeter-check",
@@ -802,6 +839,7 @@ _COMMANDS = {
             _conf_model_only,
             _gather_model_only,
             _run_coxeter_check,
+            ("lattice", "weyl"),
         ),
         _Command(
             "coxeter-finite",
@@ -809,6 +847,7 @@ _COMMANDS = {
             _conf_coxeter_finite,
             _gather_coxeter_finite,
             _run_coxeter_finite,
+            ("coxeter", "lattice", "weyl"),
         ),
         _Command(
             "crystal-check",
@@ -816,6 +855,7 @@ _COMMANDS = {
             _conf_crystal_check,
             _gather_crystal_check,
             _run_crystal_check,
+            ("coxeter",),
         ),
         _Command(
             "sw-check",
@@ -823,6 +863,7 @@ _COMMANDS = {
             _conf_sw_check,
             _gather_sw_check,
             _run_sw_check,
+            ("sw",),
         ),
         _Command(
             "sw-search",
@@ -830,6 +871,7 @@ _COMMANDS = {
             _conf_sw_search,
             _gather_sw_search,
             _run_sw_search,
+            ("sw",),
         ),
         _Command(
             "extremal",
@@ -837,6 +879,7 @@ _COMMANDS = {
             _conf_extremal,
             _gather_extremal,
             _run_extremal,
+            ("sw",),
         ),
         _Command(
             "decompose-o12",
@@ -844,6 +887,7 @@ _COMMANDS = {
             _conf_decompose,
             _gather_decompose,
             _run_decompose,
+            ("catalog", "lattice"),
         ),
         _Command(
             "describe",
@@ -851,6 +895,7 @@ _COMMANDS = {
             _conf_describe,
             _gather_describe,
             _run_describe,
+            ("catalog", "lattice"),
         ),
     )
 }
@@ -914,6 +959,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse handles --help and flag errors itself
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     cmd = _COMMANDS[args.subcommand]
+    _bind(cmd.modules)
     try:
         if args.input is not None:
             if _direct_flags_given(args):

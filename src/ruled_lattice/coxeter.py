@@ -22,11 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .base import CoxeterError
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
-
-
-class CoxeterError(ValueError):
-    pass
 
 
 class _Infinity:

@@ -22,9 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-
-class LatticeError(ValueError):
-    """Base class for lattice-level misuse."""
+from .base import LatticeError
 
 
 class ModelMismatchError(LatticeError):
@@ -225,10 +223,6 @@ def pairing(a: HomologyClass, b: HomologyClass) -> int:
     """Intersection number a.b."""
     _same_model(a, b)
     return _pair_coeffs(a.model, a.coeffs, b.coeffs)
-
-
-def gram_matrix(model: ManifoldModel) -> tuple[tuple[int, ...], ...]:
-    return model.gram
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ class QSqrt2:
     def b(self) -> Fraction:
         return self._b
 
-    @classmethod
-    def from_int(cls, n: int) -> "QSqrt2":
-        return cls(Fraction(n), Fraction(0))
-
     def __repr__(self) -> str:
         return f"QSqrt2({self._a!r}, {self._b!r})"
 

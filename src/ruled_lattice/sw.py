@@ -17,18 +17,15 @@ reduces exist at all (none up to 9 blowups, (3; 1^10) from 10 on).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .lattice import HomologyClass, rational_model
+from .base import SWError
 
-
-class SWError(Exception):
-    pass
+if TYPE_CHECKING:
+    from .lattice import HomologyClass
 
 
 class OutOfRegimeError(SWError):
@@ -73,6 +70,8 @@ class SphereCandidate:
         return SphereCandidate(self.k, tuple(sorted(map(abs, self.m), reverse=True)))
 
     def to_class(self) -> HomologyClass:
+        from .lattice import HomologyClass, rational_model
+
         model = rational_model(len(self.m))
         return HomologyClass(model, (self.k,) + tuple(-x for x in self.m))
 
@@ -183,21 +182,6 @@ def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
     return best
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RULED_LATTICE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SWError(
-            f"RULED_LATTICE_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise SWError(f"RULED_LATTICE_THREADS must be positive, got {cap}")
-    return cap
-
-
 def _search_one_k(blowups: int, k: int) -> list[SphereCandidate]:
     """All sorted m >= 0 with sum m_i^2 = k^2 + 1 and m_1 + m_2 + m_3 <= k."""
     target = k * k + 1
@@ -232,19 +216,9 @@ def dichotomy_search(blowups: int, k_max: int) -> list[SphereCandidate]:
     """Exhaustive search for square -1 classes no wall crossing reduces.
 
     Scans 2 <= k <= k_max.  Empty for up to 9 blowups; from 10 on the list
-    is populated, starting with (3; 1,..,1).  The k-range may be split
-    across threads (RULED_LATTICE_THREADS); the result is sorted either way.
+    is populated, starting with (3; 1,..,1).
     """
     if blowups < 3:
         raise SWError("dichotomy_search needs at least 3 blowups")
-    if k_max < 2:
-        return []
-    ks = range(2, k_max + 1)
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            chunks = pool.map(lambda k: _search_one_k(blowups, k), ks)
-            found = [c for chunk in chunks for c in chunk]
-    else:
-        found = [c for k in ks for c in _search_one_k(blowups, k)]
+    found = [c for k in range(2, k_max + 1) for c in _search_one_k(blowups, k)]
     return sorted(found, key=lambda c: (c.k, c.m))

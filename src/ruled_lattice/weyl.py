@@ -27,6 +27,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import coxeter
+from .base import InternalConsistencyError
 from .coxeter import INF, CoxeterSystem, system_from_edges
 from .lattice import (
     HomologyClass,
@@ -52,10 +53,6 @@ class OutsideConeError(LatticeError):
 
 class NotReducedError(LatticeError):
     """The operation expects a vector satisfying the period conditions."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A property the theory guarantees failed to hold; a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +256,6 @@ class OrbitResult:
     def sorted_vectors(self) -> list[tuple[int, ...]]:
         return sorted(self.vectors)
 
-    def classes(self) -> list[HomologyClass]:
-        return [HomologyClass(self.model, v) for v in self.sorted_vectors()]
-
 
 def orbit(
     gens: GeneratorSet,
@@ -311,7 +305,12 @@ def _check_fraction(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise LatticeError(f"period {x!r} has a zero denominator") from None
+        except ValueError:
+            pass
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
@@ -410,15 +409,13 @@ class PeriodVector:
     def from_json_dict(cls, data: dict) -> "PeriodVector":
         try:
             model = ManifoldModel.from_json_dict(data["model"])
-            mus = tuple(Fraction(x) for x in data["exceptional"])
+            # __post_init__ validates every entry with _check_fraction
+            if isinstance(data["exceptional"], str):
+                raise LatticeError("'exceptional' must be a list of periods")
+            mus = tuple(data["exceptional"])
             if model.kind is Kind.RATIONAL:
-                return cls(model, mus, line=Fraction(data["line"]))
-            return cls(
-                model,
-                mus,
-                fiber=Fraction(data["fiber"]),
-                section=Fraction(data["section"]),
-            )
+                return cls(model, mus, line=data["line"])
+            return cls(model, mus, fiber=data["fiber"], section=data["section"])
         except (KeyError, TypeError, ValueError) as exc:
             raise LatticeError(f"malformed period JSON: {exc}") from exc
 

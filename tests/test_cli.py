@@ -1,6 +1,7 @@
 """Command-line interface: contracts, exit codes, JSON round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -85,13 +86,6 @@ def test_search_empty_exits_zero(capsys):
     assert "no" in out.lower()
 
 
-def test_bad_thread_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("RULED_LATTICE_THREADS", "many")
-    code, _, err = run(capsys, "sw-search", "--ell", "10", "--k-max", "4")
-    assert code == EXIT_USAGE
-    assert "RULED_LATTICE_THREADS" in err
-
-
 def test_outside_cone_exits_one(capsys):
     code, _, err = run(
         capsys, "reduce-periods", "--model", "rational", "--ell", "3",
@@ -152,6 +146,27 @@ def test_malformed_input_file(capsys, tmp_path):
     code, _, err = run(capsys, "sw-check", "--input", str(path))
     assert code == EXIT_USAGE
     assert "line" in err or "column" in err or "char" in err
+
+
+@pytest.mark.parametrize(
+    "exceptional",
+    [[0.1, "1", "1"], [True, "1", "1"], ["1/0", "1", "1"], "111"],
+    ids=["float", "bool", "zero-denominator", "string"],
+)
+def test_input_periods_are_validated(capsys, monkeypatch, exceptional):
+    import io
+
+    periods = {
+        "model": {"kind": "rational", "blowups": 3, "genus": 0},
+        "line": "5",
+        "exceptional": exceptional,
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"periods": periods})))
+    code, out, err = run(capsys, "reduce-periods", "--input", "-", "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_input_from_stdin(capsys, monkeypatch, tmp_path):
@@ -266,3 +281,69 @@ def test_installed_script_runs():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0].strip() == "infinite"
+
+
+# ---------------------------------------------------------------------------
+# cold import set: each subcommand loads only the modules it uses
+
+_COLD_IMPORT_PROBE = r"""
+import contextlib, io, json, sys
+
+import ruled_lattice
+
+report = {"package": sorted(m for m in sys.modules if m.startswith("ruled_lattice."))}
+
+from ruled_lattice import cli
+from ruled_lattice.base import SMALL_CASE_LABELS
+
+help_text = io.StringIO()
+with contextlib.redirect_stdout(help_text):
+    cli.main(["describe", "--help"])
+    cli.main(["pair", "--model", "rational", "--ell", "3", "--a", "1,0,0,0", "--b", "0,1,0,0"])
+report["help_missing"] = [l for l in SMALL_CASE_LABELS if l not in help_text.getvalue()]
+report["pair"] = sorted(
+    m
+    for m in ("ruled_lattice.catalog", "ruled_lattice.sw", "ruled_lattice.weyl", "concurrent.futures")
+    if m in sys.modules
+)
+
+# submodules first: once every name is resolved they are all imported anyway
+unresolved = [
+    sub
+    for sub in ("catalog", "coxeter", "lattice", "qsqrt2", "sw", "weyl")
+    if getattr(getattr(ruled_lattice, sub, None), "__name__", None) != "ruled_lattice." + sub
+]
+unresolved += [n for n in ruled_lattice.__all__ if not hasattr(ruled_lattice, n)]
+report["unresolved"] = unresolved
+
+calls = []
+real = cli.reduce_periods
+
+
+def counting(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
+
+
+cli.reduce_periods = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
+report["wrapper_calls"] = len(calls)
+print(json.dumps(report))
+"""
+
+
+def test_cold_import_set():
+    # a wide terminal keeps argparse from wrapping a label at its hyphen
+    env = dict(os.environ, COLUMNS="200")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "package": [],
+        "help_missing": [],
+        "pair": [],
+        "unresolved": [],
+        "wrapper_calls": 1,
+    }

@@ -238,18 +238,6 @@ def test_search_edge_cases():
         dichotomy_search(2, 10)
 
 
-def test_search_thread_cap(monkeypatch):
-    baseline = dichotomy_search(10, 6)
-    monkeypatch.setenv("RULED_LATTICE_THREADS", "4")
-    assert dichotomy_search(10, 6) == baseline
-    monkeypatch.setenv("RULED_LATTICE_THREADS", "abc")
-    with pytest.raises(SWError):
-        dichotomy_search(10, 6)
-    monkeypatch.setenv("RULED_LATTICE_THREADS", "0")
-    with pytest.raises(SWError):
-        dichotomy_search(10, 6)
-
-
 # ---------------------------------------------------------------------------
 # the trichotomy never leaks
 

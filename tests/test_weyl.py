@@ -190,6 +190,11 @@ def test_period_vector_validation():
         PeriodVector(U2, (Fraction(1), Fraction(1)), fiber=Fraction(2))
 
 
+def test_period_zero_denominator_is_refused():
+    with pytest.raises(LatticeError, match="zero denominator"):
+        rational_periods(3, "1/0", [1, 1, 1])
+
+
 def test_period_vector_heads_and_duals():
     p = rational_periods(3, 3, (1, 1, 1))
     assert p.head == (3,)

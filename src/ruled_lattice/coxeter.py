@@ -18,8 +18,6 @@ routes can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .base import CoxeterError
@@ -46,7 +44,10 @@ class _Infinity:
 
 INF = _Infinity()
 
-_ALLOWED_OFFDIAG = (2, 3, 4, INF)
+
+def _is_pair_order(m) -> bool:
+    """An off-diagonal order: the int 2, 3 or 4 (not a float or bool) or INF."""
+    return m is INF or (type(m) is int and m in (2, 3, 4))
 
 
 def _cos_pi_over(m) -> QSqrt2:
@@ -69,6 +70,8 @@ class CoxeterSystem:
 
     def __post_init__(self) -> None:
         n = len(self.names)
+        if not all(isinstance(name, str) for name in self.names):
+            raise CoxeterError("generator names must be strings")
         if len(set(self.names)) != n:
             raise CoxeterError("generator names must be distinct")
         m = tuple(tuple(row) for row in self.matrix)
@@ -76,16 +79,17 @@ class CoxeterSystem:
         if len(m) != n or any(len(r) != n for r in m):
             raise CoxeterError(f"matrix must be {n}x{n}")
         for i in range(n):
-            if m[i][i] != 1:
+            if m[i][i] != 1 or type(m[i][i]) is not int:
                 raise CoxeterError("diagonal entries must be 1")
             for j in range(i + 1, n):
                 if m[i][j] is not m[j][i] and m[i][j] != m[j][i]:
                     raise CoxeterError("matrix must be symmetric")
-                if m[i][j] not in _ALLOWED_OFFDIAG:
-                    raise CoxeterError(
-                        f"unsupported pair order {m[i][j]!r} between "
-                        f"{self.names[i]} and {self.names[j]}"
-                    )
+                for order in (m[i][j], m[j][i]):
+                    if not _is_pair_order(order):
+                        raise CoxeterError(
+                            f"unsupported pair order {order!r} between "
+                            f"{self.names[i]} and {self.names[j]}"
+                        )
 
     @property
     def rank(self) -> int:
@@ -124,6 +128,10 @@ class CoxeterSystem:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoxeterSystem":
         try:
+            if not isinstance(data["names"], list):
+                raise CoxeterError("'names' must be a list of generator names")
+            if not isinstance(data.get("label"), (str, type(None))):
+                raise CoxeterError("'label' must be a string")
             names = tuple(data["names"])
             rows = []
             for row in data["matrix"]:
@@ -262,6 +270,8 @@ def from_name(name: str) -> CoxeterSystem:
     """Resolve a named system: A5, B3, D4, E3..E9, BE5.., BD4.., L4-3-4-4,
     L3-4-inf, I2-inf and general Lk-m1-...-m{k-1} chains."""
     text = name.strip()
+    if not text:
+        raise CoxeterError("empty Coxeter system name")
     if text.upper() in ("I2-INF", "I2(INF)"):
         return I2_inf()
     head = text[:2].upper()
@@ -321,6 +331,17 @@ def _mat_mul(a, b):
     )
 
 
+def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
+    n = system.rank
+    return tuple(
+        tuple(
+            -ONE if i == j else _cos_pi_over(system.matrix[i][j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 @dataclass(frozen=True)
 class GeometricRepresentation:
     """Exact reflection matrices of a Coxeter system on its root space."""
@@ -341,13 +362,7 @@ def build_geometric_representation(system: CoxeterSystem) -> GeometricRepresenta
     homology lattices used elsewhere.
     """
     n = system.rank
-    gram = tuple(
-        tuple(
-            -ONE if i == j else _cos_pi_over(system.matrix[i][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    gram = _gram(system)
     gens = []
     for j in range(n):
         rows = []
@@ -366,37 +381,38 @@ def build_geometric_representation(system: CoxeterSystem) -> GeometricRepresenta
     return GeometricRepresentation(system, gram, tuple(gens))
 
 
-def _leading_minor_dets(matrix) -> list[QSqrt2]:
-    """Determinants of all leading principal minors, exact over Q(sqrt2)."""
-    n = len(matrix)
-    dets = []
-    for k in range(1, n + 1):
-        sub = [list(row[:k]) for row in matrix[:k]]
-        det = ONE
-        sign = 1
-        for col in range(k):
-            pivot_row = None
-            for r in range(col, k):
-                if not sub[r][col].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                det = ZERO
-                break
-            if pivot_row != col:
-                sub[col], sub[pivot_row] = sub[pivot_row], sub[col]
-                sign = -sign
-            pivot = sub[col][col]
-            det = det * pivot
-            for r in range(col + 1, k):
-                factor = sub[r][col] / pivot
-                if factor.is_zero():
-                    continue
-                sub[r] = [
-                    x - factor * y for x, y in zip(sub[r], sub[col])
-                ]
-        dets.append(det if sign > 0 else -det)
-    return dets
+def _eliminate_negated_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
+    """Determinant of -Gram and whether -Gram is positive definite.
+
+    One Gaussian elimination, exact over Q(sqrt2).  While no row swap has
+    been needed the k-th pivot is the ratio of the k-th to the (k-1)-th
+    leading principal minor, so Sylvester's criterion reads "every pivot is
+    positive"; a needed swap means a leading minor vanished.
+    """
+    rows = [[-x for x in row] for row in _gram(system)]
+    n = len(rows)
+    det = ONE
+    definite = True
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return ZERO, False
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+            definite = False
+        pivot = rows[col][col]
+        det = det * pivot
+        definite = definite and pivot.sign() > 0
+        # columns <= col are never read again, so only the pivot row's
+        # nonzero entries to the right are subtracted
+        tail = [(c, rows[col][c]) for c in range(col + 1, n) if rows[col][c]]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] / pivot
+                for c, y in tail:
+                    rows[r][c] = rows[r][c] - factor * y
+    return det, definite
 
 
 def is_finite_type(system: CoxeterSystem) -> bool:
@@ -405,18 +421,12 @@ def is_finite_type(system: CoxeterSystem) -> bool:
     The group is finite exactly when the form <.,.> is negative definite,
     i.e. when every leading principal minor of -Gram is positive.
     """
-    if any(m is INF for row in system.matrix for m in row):
-        return False
-    rep = build_geometric_representation(system)
-    neg = tuple(tuple(-x for x in row) for row in rep.gram)
-    return all(d.sign() > 0 for d in _leading_minor_dets(neg))
+    return _eliminate_negated_gram(system)[1]
 
 
 def gram_determinant(system: CoxeterSystem) -> QSqrt2:
     """Determinant of the negated Gram matrix (0 for affine systems)."""
-    rep = build_geometric_representation(system)
-    neg = tuple(tuple(-x for x in row) for row in rep.gram)
-    return _leading_minor_dets(neg)[-1]
+    return _eliminate_negated_gram(system)[0]
 
 
 def generator_product_order(
@@ -544,127 +554,3 @@ def standard_crystal(name: str) -> CrystallographicStructure:
     if upper in ("I2-INF",):
         return CrystallographicStructure(I2_inf(), frozenset({"s1", "s1*"}))
     raise CoxeterError(f"no standard crystallographic structure for {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# ASCII rendering
-
-
-_EDGE_GLYPH = {3: "---", 4: "===",}
-
-
-def _edge_glyph(m) -> str:
-    if m is INF:
-        return "-oo-"
-    return _EDGE_GLYPH.get(m, f"-{m}-")
-
-
-def ascii_graph(system: CoxeterSystem) -> str:
-    """Best-effort drawing: a chain with at most one leg gets a 2D layout,
-    anything else an edge list."""
-    edges = system.edges()
-    deg = {n: 0 for n in system.names}
-    for i, j, _ in edges:
-        deg[system.names[i]] += 1
-        deg[system.names[j]] += 1
-    forks = [n for n, d in deg.items() if d > 2]
-    if len(forks) > 1:
-        return "\n".join(
-            f"{system.names[i]} {_edge_glyph(m)} {system.names[j]}"
-            for i, j, m in edges
-        )
-    return _draw_chain_with_leg(system, forks[0] if forks else None)
-
-
-def _chain_order(system: CoxeterSystem, leg: tuple[str, str] | None) -> list[str]:
-    """Vertices of the graph minus the leg edge, walked end to end."""
-    adj: dict[str, list[tuple[str, object]]] = {n: [] for n in system.names}
-    for i, j, m in system.edges():
-        a, b = system.names[i], system.names[j]
-        if leg and {a, b} == set(leg):
-            continue
-        adj[a].append((b, m))
-        adj[b].append((a, m))
-    in_chain = [n for n in system.names if adj[n]]
-    if not in_chain:
-        return []
-    start = next(n for n in in_chain if len(adj[n]) == 1)
-    walk = [start]
-    prev = None
-    while True:
-        nxt = [n for n, _ in adj[walk[-1]] if n != prev]
-        if not nxt:
-            break
-        prev = walk[-1]
-        walk.append(nxt[0])
-    return walk
-
-
-def _draw_chain_with_leg(system: CoxeterSystem, fork: str | None) -> str:
-    leg_edge = None
-    leg_vertex = None
-    if fork is not None:
-        # pick the neighbor of the fork whose removal leaves a clean chain:
-        # prefer an endpoint of degree 1 reached directly from the fork
-        deg1 = []
-        for i, j, m in system.edges():
-            a, b = system.names[i], system.names[j]
-            if fork in (a, b):
-                other = b if a == fork else a
-                deg1.append(other)
-        for cand in deg1:
-            others = sum(
-                1
-                for i, j, _ in system.edges()
-                if cand in (system.names[i], system.names[j])
-            )
-            if others == 1:
-                leg_edge = (fork, cand)
-                leg_vertex = cand
-                break
-    walk = _chain_order(system, leg_edge)
-    isolated = [
-        n
-        for n in system.names
-        if n not in walk and n != leg_vertex
-    ]
-    if not walk:
-        return "   ".join(system.names)
-    line = ""
-    positions = {}
-    for k, v in enumerate(walk):
-        if k:
-            m = system.order(walk[k - 1], v)
-            line += f" {_edge_glyph(m)} "
-        positions[v] = len(line)
-        line += v
-    out = [line]
-    if leg_vertex is not None:
-        pad = positions[fork] + len(fork) // 2
-        out.append(" " * pad + "|")
-        out.append(" " * pad + leg_vertex)
-    if isolated:
-        out.append("isolated: " + ", ".join(isolated))
-    return "\n".join(out)
-
-
-def ascii_dynkin(struct: CrystallographicStructure) -> str:
-    """Edge list with label-4 arrows pointing at the short endpoint."""
-    sys_ = struct.system
-    lines = []
-    for i, j, m in sys_.edges():
-        a, b = sys_.names[i], sys_.names[j]
-        if m == 4:
-            if a in struct.short and b not in struct.short:
-                lines.append(f"{b} ==> {a}")
-            elif b in struct.short and a not in struct.short:
-                lines.append(f"{a} ==> {b}")
-            else:
-                lines.append(f"{a} =?= {b}")
-        else:
-            lines.append(f"{a} {_edge_glyph(m)} {b}")
-    covered = {n for i, j, _ in sys_.edges() for n in (sys_.names[i], sys_.names[j])}
-    for n in sys_.names:
-        if n not in covered:
-            lines.append(n)
-    return "\n".join(lines)

@@ -19,6 +19,7 @@ routines return words that transport their input to the output.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,30 +149,25 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     Rational blowups l >= 4 give the rank l+1 graph with a label-4 tail and
     the extra node on s3 (l = 3 degenerates to the chain 3-4-4); ruled
     models attach the extra node to s2 instead (l = 2 degenerates to 4-4).
+    The two degenerate chains keep the generator order s0..s_l, which
+    coxeter.L4_344 and coxeter.L3_44 do not.
     """
     l = model.blowups
-    names = tuple(f"s{i}" for i in range(l + 1))
-    edges = [(f"s{i}", f"s{i+1}", 3) for i in range(1, l - 1)]
-    edges.append((f"s{l-1}", f"s{l}", 4))
     if model.kind is Kind.RATIONAL:
         if l < 3:
             raise LatticeError("no presentation below 3 blowups in the rational model")
-        if l == 3:
-            edges.append(("s0", "s3", 4))
-            label = "L4-3-4-4"
-        else:
-            edges.append(("s0", "s3", 3))
-            label = f"BE{l + 1}"
+        if l > 3:
+            return coxeter.type_BE(l + 1)
+        edges = [("s1", "s2", 3), ("s2", "s3", 4), ("s0", "s3", 4)]
+        label = "L4-3-4-4"
     else:
         if l < 2:
             raise LatticeError("no presentation below 2 blowups in the ruled model")
-        if l == 2:
-            edges.append(("s0", "s2", 4))
-            label = "L3-4-4"
-        else:
-            edges.append(("s0", "s2", 3))
-            label = f"BD{l + 1}"
-    return system_from_edges(names, edges, label=label)
+        if l > 2:
+            return coxeter.type_BD(l + 1)
+        edges = [("s1", "s2", 4), ("s0", "s2", 4)]
+        label = "L3-4-4"
+    return system_from_edges([f"s{i}" for i in range(l + 1)], edges, label=label)
 
 
 def _matrix_order(m: LatticeAutomorphism, cap: int) -> Optional[int]:
@@ -299,18 +295,20 @@ def orbit(
 # period vectors
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def _check_fraction(x) -> Fraction:
+    """An int, a Fraction, or a string spelling an integer or p/q exactly."""
     if isinstance(x, bool):
         raise LatticeError("periods must be exact rationals")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
         try:
             return Fraction(x)
         except ZeroDivisionError:
             raise LatticeError(f"period {x!r} has a zero denominator") from None
-        except ValueError:
-            pass
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
@@ -423,21 +421,14 @@ class PeriodVector:
 def rational_periods(blowups: int, line, mus) -> PeriodVector:
     from .lattice import rational_model
 
-    return PeriodVector(
-        rational_model(blowups),
-        tuple(_check_fraction(m) for m in mus),
-        line=_check_fraction(line),
-    )
+    return PeriodVector(rational_model(blowups), tuple(mus), line=line)
 
 
 def ruled_periods(blowups: int, fiber, section, mus, genus: int = 1) -> PeriodVector:
     from .lattice import ruled_model
 
     return PeriodVector(
-        ruled_model(blowups, genus),
-        tuple(_check_fraction(m) for m in mus),
-        fiber=_check_fraction(fiber),
-        section=_check_fraction(section),
+        ruled_model(blowups, genus), tuple(mus), fiber=fiber, section=section
     )
 
 

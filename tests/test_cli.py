@@ -1,5 +1,6 @@
 """Command-line interface: contracts, exit codes, JSON round-trips."""
 
+import ast
 import json
 import os
 import subprocess
@@ -150,8 +151,16 @@ def test_malformed_input_file(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "exceptional",
-    [[0.1, "1", "1"], [True, "1", "1"], ["1/0", "1", "1"], "111"],
-    ids=["float", "bool", "zero-denominator", "string"],
+    [
+        [0.1, "1", "1"],
+        [True, "1", "1"],
+        ["1/0", "1", "1"],
+        "111",
+        ["0.1", "1", "1"],
+        ["1e0", "1", "1"],
+        [" 1 ", "1", "1"],
+    ],
+    ids=["float", "bool", "zero-denominator", "string", "decimal", "exponent", "padded"],
 )
 def test_input_periods_are_validated(capsys, monkeypatch, exceptional):
     import io
@@ -163,6 +172,28 @@ def test_input_periods_are_validated(capsys, monkeypatch, exceptional):
     }
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"periods": periods})))
     code, out, err = run(capsys, "reduce-periods", "--input", "-", "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"names": ["a", "b"], "matrix": [[1, 3.0], [3.0, 1]]},
+        {"names": ["a", "b"], "matrix": [[True, 3], [3, True]]},
+        {"names": ["a", "b"], "matrix": [[1.0, 2.0], [2.0, 1.0]]},
+        {"names": "ab", "matrix": [[1, 3], [3, 1]]},
+        {"names": ["a", "b"], "matrix": [[1, 3], [3, 1]], "label": 5},
+    ],
+    ids=["float-order", "bool-diagonal", "float-matrix", "string-names", "number-label"],
+)
+def test_input_coxeter_system_is_validated(capsys, monkeypatch, system):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"system": system})))
+    code, out, err = run(capsys, "coxeter-finite", "--input", "-", "--json")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ")
@@ -315,29 +346,55 @@ unresolved = [
 ]
 unresolved += [n for n in ruled_lattice.__all__ if not hasattr(ruled_lattice, n)]
 report["unresolved"] = unresolved
+# the names the traced benchmark replaces on cli with setattr
+report["traced_unresolved"] = [n for n in json.loads(sys.argv[1]) if not hasattr(cli, n)]
 
-calls = []
-real = cli.reduce_periods
-
-
-def counting(*args, **kwargs):
-    calls.append(1)
-    return real(*args, **kwargs)
+calls = {}
 
 
-cli.reduce_periods = counting
+def count_calls(name):
+    real = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    setattr(cli, name, counting)
+
+
+for name in ("reduce_periods", "is_finite_type", "gram_determinant"):
+    count_calls(name)
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
-report["wrapper_calls"] = len(calls)
+    cli.main(["coxeter-finite", "--system", "E8"])
+report["wrapper_calls"] = calls
 print(json.dumps(report))
 """
 
 
+def _traced_cli_names() -> list[str]:
+    """The keys of CLI_TRACED_CALLS, read from the benchmark's source."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["CLI_TRACED_CALLS"]:
+            return sorted(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/workloads.py defines no CLI_TRACED_CALLS")
+
+
 def test_cold_import_set():
+    traced = _traced_cli_names()
+    assert {"is_finite_type", "gram_determinant", "reduce_periods"} <= set(traced)
     # a wide terminal keeps argparse from wrapping a label at its hyphen
     env = dict(os.environ, COLUMNS="200")
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_IMPORT_PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _COLD_IMPORT_PROBE, json.dumps(traced)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
@@ -345,5 +402,6 @@ def test_cold_import_set():
         "help_missing": [],
         "pair": [],
         "unresolved": [],
-        "wrapper_calls": 1,
+        "traced_unresolved": [],
+        "wrapper_calls": {"reduce_periods": 1, "is_finite_type": 1, "gram_determinant": 1},
     }

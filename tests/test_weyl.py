@@ -188,6 +188,11 @@ def test_period_vector_validation():
         PeriodVector(U2, (Fraction(1), Fraction(1)), line=Fraction(3))
     with pytest.raises(LatticeError):
         PeriodVector(U2, (Fraction(1), Fraction(1)), fiber=Fraction(2))
+    for text in ("0.1", "1e0", " 1 "):  # Fraction parses these; a period is p or p/q
+        with pytest.raises(LatticeError, match="exact rationals"):
+            rational_periods(3, 5, (text, 1, 1))
+        with pytest.raises(LatticeError, match="exact rationals"):
+            ruled_periods(2, text, 3, (1, 1))
 
 
 def test_period_zero_denominator_is_refused():

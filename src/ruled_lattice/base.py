@@ -3,8 +3,97 @@
 The command line maps the four exception classes to exit codes and lists
 the small-case labels in its help before it knows which subcommand runs,
 so they live here, away from the modules that define the mathematics;
-each is re-exported from its home module.
+each is re-exported from its home module.  ``Record`` is the base of every
+value type in the package.
 """
+
+
+class Record:
+    """An immutable value type whose fields are its annotated names.
+
+    ``class P(Record): x: int; y: int = 0`` gives ``P(1)``, ``P(x=1, y=2)``,
+    the repr ``P(x=1, y=0)``, equality and hashing over the field tuple
+    (instances of different classes are never equal; a subclass may narrow
+    that tuple by overriding ``_key``), and an AttributeError on assignment
+    or deletion.  Fields follow those of a Record base in annotation order;
+    a value assigned in the class body is the field's default.
+    ``__post_init__`` runs after the fields are set and may normalize them
+    with ``object.__setattr__``.
+
+    This is the part of ``dataclasses.dataclass(frozen=True)`` the library
+    uses, built without ``exec`` and without importing ``dataclasses`` and
+    ``inspect``, which would cost a cold command-line call more than the
+    computation it runs.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls) -> None:
+        own = [n for n in cls.__annotations__ if n not in cls._fields]
+        defaults = dict(cls._defaults)
+        for name in own:
+            if name in cls.__dict__:
+                defaults[name] = cls.__dict__[name]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = defaults
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(fields)} arguments, "
+                f"{len(args)} given"
+            )
+        for key in kwargs:
+            if key not in fields[len(args) :]:
+                raise TypeError(
+                    f"{cls.__qualname__}() got an unexpected or repeated "
+                    f"argument {key!r}"
+                )
+        values = list(args)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other is self:  # every field value here equals itself
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LatticeError(ValueError):

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import coxeter
-from .base import SMALL_CASE_LABELS
+from .base import SMALL_CASE_LABELS, Record
 from .coxeter import CoxeterSystem
 from .lattice import (
     HomologyClass,
@@ -43,10 +42,12 @@ class CatalogError(LatticeError):
 # structure trees
 
 
-class GroupNode:
-    """Base of the structure-tree node kinds."""
+class GroupNode(Record):
+    """Base of the structure-tree node kinds.
 
-    kind: str
+    Each kind names itself in ``kind``, a class attribute and not a field,
+    which ``to_json_dict`` writes as the node's tag.
+    """
 
     def render(self) -> str:
         raise NotImplementedError
@@ -55,10 +56,9 @@ class GroupNode:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Cyclic(GroupNode):
     order: int
-    kind: str = field(default="cyclic", init=False)
+    kind = "cyclic"
 
     def render(self) -> str:
         return f"Z{self.order}"
@@ -67,10 +67,9 @@ class Cyclic(GroupNode):
         return {"kind": self.kind, "order": self.order}
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupNode):
     rank: int
-    kind: str = field(default="free_abelian", init=False)
+    kind = "free_abelian"
 
     def render(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -79,10 +78,9 @@ class FreeAbelian(GroupNode):
         return {"kind": self.kind, "rank": self.rank}
 
 
-@dataclass(frozen=True)
 class CoxeterGroup(GroupNode):
     system: CoxeterSystem
-    kind: str = field(default="coxeter", init=False)
+    kind = "coxeter"
 
     def render(self) -> str:
         if self.system.label:
@@ -93,11 +91,10 @@ class CoxeterGroup(GroupNode):
         return {"kind": self.kind, "system": self.system.to_json_dict()}
 
 
-@dataclass(frozen=True)
 class Semidirect(GroupNode):
     normal: GroupNode
     acting: GroupNode
-    kind: str = field(default="semidirect", init=False)
+    kind = "semidirect"
 
     def render(self) -> str:
         return f"({self.normal.render()} : {self.acting.render()})"
@@ -110,10 +107,9 @@ class Semidirect(GroupNode):
         }
 
 
-@dataclass(frozen=True)
 class DirectSum(GroupNode):
     parts: tuple[GroupNode, ...]
-    kind: str = field(default="direct_sum", init=False)
+    kind = "direct_sum"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -125,10 +121,9 @@ class DirectSum(GroupNode):
         return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
 
 
-@dataclass(frozen=True)
 class BlackBox(GroupNode):
     label: str
-    kind: str = field(default="black_box", init=False)
+    kind = "black_box"
 
     def render(self) -> str:
         return f"<{self.label}>"
@@ -137,8 +132,7 @@ class BlackBox(GroupNode):
         return {"kind": self.kind, "label": self.label}
 
 
-@dataclass(frozen=True)
-class GroupDescription:
+class GroupDescription(Record):
     """A named group with its structure tree and free-text annotations."""
 
     name: str

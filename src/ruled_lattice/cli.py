@@ -14,7 +14,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import import_module
 from typing import Callable, Optional, Sequence
@@ -23,6 +22,7 @@ from .base import (
     CoxeterError,
     InternalConsistencyError,
     LatticeError,
+    Record,
     SMALL_CASE_LABELS,
     SWError,
 )
@@ -212,15 +212,13 @@ def _get_class(inp: dict, key: str) -> HomologyClass:
 # subcommands
 
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(Record):
     result: dict
     lines: tuple[str, ...]
     code: int = EXIT_OK
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Record):
     name: str
     help: str
     configure: Callable[[argparse.ArgumentParser], None]

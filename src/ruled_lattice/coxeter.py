@@ -17,10 +17,9 @@ routes can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .base import CoxeterError
+from .base import CoxeterError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
 
 
@@ -56,8 +55,7 @@ def _cos_pi_over(m) -> QSqrt2:
     return {2: ZERO, 3: HALF, 4: HALF_SQRT2}[m]
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(Record):
     """A finite set of named generators with pairwise orders.
 
     The optional label is a display name ("E6", "BD5", ..); it never takes
@@ -66,7 +64,7 @@ class CoxeterSystem:
 
     names: tuple[str, ...]
     matrix: tuple[tuple, ...]
-    label: Optional[str] = field(default=None, compare=False)
+    label: Optional[str] = None
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -90,6 +88,9 @@ class CoxeterSystem:
                             f"unsupported pair order {order!r} between "
                             f"{self.names[i]} and {self.names[j]}"
                         )
+
+    def _key(self) -> tuple:
+        return (self.names, self.matrix)  # equality and hashing skip the label
 
     @property
     def rank(self) -> int:
@@ -342,8 +343,7 @@ def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class GeometricRepresentation:
+class GeometricRepresentation(Record):
     """Exact reflection matrices of a Coxeter system on its root space."""
 
     system: CoxeterSystem
@@ -452,8 +452,7 @@ def generator_product_order(
 # crystallographic structures
 
 
-@dataclass(frozen=True)
-class CrystallographicStructure:
+class CrystallographicStructure(Record):
     """A short/long split of the generators of a Coxeter system.
 
     Short generators keep their basis vector (square -1); long ones are
@@ -483,8 +482,7 @@ class CrystallographicStructure:
         }
 
 
-@dataclass(frozen=True)
-class CrystalReport:
+class CrystalReport(Record):
     ok: bool
     violations: tuple[str, ...] = ()
 
@@ -516,20 +514,23 @@ def crystallographic_lattice_invariance(
 
     With B = diag(scale) the matrix B^-1 M B must be integral for every
     generator M.  This is the definition of the lattice being preserved and
-    is computed independently of the edge rules.
+    is computed from the Gram matrix, independently of the edge rules.  The
+    generator sigma_j differs from the identity only in row j, whose entry
+    in column c is delta_jc + 2<e_c, e_j>; every other row stays a row of
+    the identity under the rescaling, so only row j of sigma_j is checked.
     """
-    rep = build_geometric_representation(struct.system)
     names = struct.system.names
+    gram = _gram(struct.system)
     scales = [struct.scale(n) for n in names]
     bad = []
-    for g, gen in zip(names, rep.generators):
-        for r in range(len(names)):
-            for c in range(len(names)):
-                entry = gen[r][c] * scales[c] / scales[r]
-                if not entry.is_integer():
-                    bad.append(
-                        f"generator {g}: entry ({names[r]},{names[c]}) = {entry}"
-                    )
+    for j, g in enumerate(names):
+        for c, name in enumerate(names):
+            entry = (ONE if c == j else ZERO) + 2 * gram[c][j]
+            if not entry:
+                continue  # zero under every rescaling
+            entry = entry * scales[c] / scales[j]
+            if not entry.is_integer():
+                bad.append(f"generator {g}: entry ({g},{name}) = {entry}")
     return CrystalReport(not bad, tuple(bad))
 
 

@@ -17,12 +17,11 @@ evaluates to a product of matrices with the first-applied matrix rightmost.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .base import LatticeError
+from .base import LatticeError, Record
 
 
 class ModelMismatchError(LatticeError):
@@ -38,8 +37,7 @@ class Kind(enum.Enum):
     RULED = "ruled"
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(Record):
     """A blown-up rational or ruled surface, seen through its H_2 lattice.
 
     ``blowups`` is the number of exceptional classes; ``genus`` is the base
@@ -132,8 +130,7 @@ def _check_int_coeffs(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record):
     """An integral second homology class in a fixed model and basis."""
 
     model: ManifoldModel
@@ -225,8 +222,7 @@ def pairing(a: HomologyClass, b: HomologyClass) -> int:
     return _pair_coeffs(a.model, a.coeffs, b.coeffs)
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
+class LatticeAutomorphism(Record):
     """An integer matrix acting on coefficient column vectors from the left."""
 
     model: ManifoldModel

@@ -17,12 +17,11 @@ reduces exist at all (none up to 9 blowups, (3; 1^10) from 10 on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from typing import TYPE_CHECKING, Optional
 
-from .base import SWError
+from .base import Record, SWError
 
 if TYPE_CHECKING:
     from .lattice import HomologyClass
@@ -36,8 +35,7 @@ class OutOfScopeError(SWError):
     """The certifier covers squares -1 .. -4 only."""
 
 
-@dataclass(frozen=True)
-class SphereCandidate:
+class SphereCandidate(Record):
     """A candidate sphere class kL - sum m_i E_i, stored by its pairings."""
 
     k: int
@@ -101,8 +99,7 @@ class Verdict(Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(Record):
     verdict: Verdict
     dolgachev_m: Optional[int] = None
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
 from . import coxeter
-from .base import InternalConsistencyError
+from .base import InternalConsistencyError, Record
 from .coxeter import INF, CoxeterSystem, system_from_edges
 from .lattice import (
     HomologyClass,
@@ -60,8 +59,7 @@ class NotReducedError(LatticeError):
 # generator sets and words
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """The named reflection generators of one model."""
 
     model: ManifoldModel
@@ -108,8 +106,7 @@ def generator_set(model: ManifoldModel) -> GeneratorSet:
     return GeneratorSet(model, tuple(names), tuple(classes))
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Record):
     """A sequence of generator names, listed in application order."""
 
     letters: tuple[str, ...]
@@ -180,8 +177,7 @@ def _matrix_order(m: LatticeAutomorphism, cap: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class PresentationEntry:
+class PresentationEntry(Record):
     a: str
     b: str
     expected: object  # int or coxeter.INF
@@ -194,8 +190,7 @@ class PresentationEntry:
         return self.computed == self.expected
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(Record):
     model: ManifoldModel
     entries: tuple[PresentationEntry, ...]
 
@@ -243,8 +238,7 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
 # orbits
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Record):
     model: ManifoldModel
     vectors: frozenset
     truncated: bool
@@ -312,8 +306,7 @@ def _check_fraction(x) -> Fraction:
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(Record):
     """Periods of a (candidate) symplectic form in the fixed basis.
 
     Rational model: ``line`` is the period over L, ``exceptional[i]`` over
@@ -436,8 +429,7 @@ def ruled_periods(blowups: int, fiber, section, mus, genus: int = 1) -> PeriodVe
 # period reduction
 
 
-@dataclass(frozen=True)
-class PeriodReduction:
+class PeriodReduction(Record):
     reduced: PeriodVector
     word: GroupWord
     boundary_flags: tuple[str, ...]
@@ -547,8 +539,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
 # class reduction
 
 
-@dataclass(frozen=True)
-class ClassReduction:
+class ClassReduction(Record):
     """Outcome of transporting a square -1 class toward the last exceptional.
 
     When ``in_orbit`` is true, ``word`` moves the input onto E_l exactly.
@@ -736,8 +727,7 @@ def _component_label(names: list[str], adj: dict[str, list[str]]) -> str:
     raise InternalConsistencyError("unexpected branching in a Lagrangian system")
 
 
-@dataclass(frozen=True)
-class LagrangianSystem:
+class LagrangianSystem(Record):
     """The zero-period wall classes of a reduced vector, with their type."""
 
     model: ManifoldModel
@@ -826,8 +816,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     )
 
 
-@dataclass(frozen=True)
-class MaximalMembership:
+class MaximalMembership(Record):
     """The first maximal Lagrangian system containing the given one."""
 
     container_label: str

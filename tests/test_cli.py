@@ -338,6 +338,14 @@ report["pair"] = sorted(
     if m in sys.modules
 )
 
+# value types are Records: no cold call pulls in dataclasses (and inspect)
+HEAVY = ("dataclasses", "inspect")
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
+    cli.main(["describe", "--label", "CP2"])
+    cli.main(["decompose-o12", "--matrix", "9,4,8;-4,-1,-4;8,4,7"])
+report["heavy_after_calls"] = [m for m in HEAVY if m in sys.modules]
+
 # submodules first: once every name is resolved they are all imported anyway
 unresolved = [
     sub
@@ -348,6 +356,7 @@ unresolved += [n for n in ruled_lattice.__all__ if not hasattr(ruled_lattice, n)
 report["unresolved"] = unresolved
 # the names the traced benchmark replaces on cli with setattr
 report["traced_unresolved"] = [n for n in json.loads(sys.argv[1]) if not hasattr(cli, n)]
+report["heavy_after_resolving"] = [m for m in HEAVY if m in sys.modules]
 
 calls = {}
 
@@ -401,7 +410,9 @@ def test_cold_import_set():
         "package": [],
         "help_missing": [],
         "pair": [],
+        "heavy_after_calls": [],
         "unresolved": [],
+        "heavy_after_resolving": [],
         "traced_unresolved": [],
         "wrapper_calls": {"reduce_periods": 1, "is_finite_type": 1, "gram_determinant": 1},
     }

@@ -223,6 +223,47 @@ def test_bad_splits_fail_both_routes(name, short):
     assert by_edges.violations and by_matrices.violations
 
 
+def _dense_violations(struct):
+    """The matrix route on every entry of every dense generator matrix."""
+    rep = build_geometric_representation(struct.system)
+    names = struct.system.names
+    scales = [struct.scale(n) for n in names]
+    bad = []
+    for g, gen in zip(names, rep.generators):
+        for r, c in itertools.product(range(len(names)), repeat=2):
+            entry = gen[r][c] * scales[c] / scales[r]
+            if not entry.is_integer():
+                bad.append(f"generator {g}: entry ({names[r]},{names[c]}) = {entry}")
+    return tuple(bad)
+
+
+CRYSTAL_NAMES = (
+    [f"BE{n}" for n in range(5, 17)]
+    + [f"BD{n}" for n in range(4, 17)]
+    + ["L4-3-4-4", "L3-4-4", "L3-4-inf", "I2-inf"]
+)
+
+
+def test_crystal_matrix_route_checks_only_generator_rows():
+    for name in CRYSTAL_NAMES:
+        struct = standard_crystal(name)
+        first = struct.system.names[0]
+        for short in (struct.short, struct.short ^ {first}):
+            split = CrystallographicStructure(struct.system, short)
+            by_matrices = crystallographic_lattice_invariance(split)
+            if split.system.rank <= 8:  # the dense reference is cubic
+                assert by_matrices.violations == _dense_violations(split), name
+            assert by_matrices.ok == verify_crystallographic(split).ok, (name, short)
+        assert crystallographic_lattice_invariance(struct).ok, name
+    wrong = CrystallographicStructure(from_name("BE7"), frozenset({"s1"}))
+    assert crystallographic_lattice_invariance(wrong).violations == (
+        "generator s1: entry (s1,s2) = 1*sqrt2",
+        "generator s2: entry (s2,s1) = 1/2*sqrt2",
+        "generator s5: entry (s5,s6) = 1*sqrt2",
+        "generator s6: entry (s6,s5) = 1*sqrt2",
+    )
+
+
 def test_all_long_is_fine_when_simply_laced():
     # rescaling everything by sqrt2 changes nothing structurally
     struct = CrystallographicStructure(type_E(6), frozenset())

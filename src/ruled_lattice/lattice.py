@@ -17,7 +17,6 @@ evaluates to a product of matrices with the first-applied matrix rightmost.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -131,7 +130,11 @@ def _check_int_coeffs(coeffs: Sequence) -> tuple[int, ...]:
 
 
 class HomologyClass(Record):
-    """An integral second homology class in a fixed model and basis."""
+    """An integral second homology class in a fixed model and basis.
+
+    The constructor validates its coefficients; classes the library builds
+    from integers it already holds go through ``_trusted`` instead.
+    """
 
     model: ManifoldModel
     coeffs: tuple[int, ...]
@@ -157,29 +160,36 @@ class HomologyClass(Record):
             parts.append(f"{prefix}{'' if mag == 1 else mag}{name}")
         return "".join(parts) if parts else "0"
 
+    @classmethod
+    def _trusted(cls, model: ManifoldModel, coeffs: tuple[int, ...]) -> "HomologyClass":
+        """A class from a tuple of rank-many ints, built without re-checking."""
+        c = object.__new__(cls)
+        c.__dict__.update(model=model, coeffs=coeffs)
+        return c
+
     @property
     def square(self) -> int:
         return pairing(self, self)
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         _same_model(self, other)
-        return HomologyClass(
+        return HomologyClass._trusted(
             self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
         _same_model(self, other)
-        return HomologyClass(
+        return HomologyClass._trusted(
             self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> "HomologyClass":
-        return HomologyClass(self.model, tuple(-a for a in self.coeffs))
+        return HomologyClass._trusted(self.model, tuple(-a for a in self.coeffs))
 
     def __mul__(self, n: int) -> "HomologyClass":
         if isinstance(n, bool) or not isinstance(n, int):
             return NotImplemented
-        return HomologyClass(self.model, tuple(n * a for a in self.coeffs))
+        return HomologyClass._trusted(self.model, tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -242,7 +252,7 @@ class LatticeAutomorphism(Record):
 
     def apply(self, c: HomologyClass) -> HomologyClass:
         _same_model(self, c)
-        return HomologyClass(self.model, self.apply_coeffs(c.coeffs))
+        return HomologyClass._trusted(self.model, self.apply_coeffs(c.coeffs))
 
     def apply_coeffs(self, coeffs: Sequence) -> tuple:
         """Matrix-vector product; accepts integer or Fraction entries."""
@@ -323,15 +333,7 @@ def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
     s^2 = -1 (exceptional twists, A -> A + 2 (A.s) s) give integer matrices;
     anything else is rejected.
     """
-    sq = s.square
-    if sq == -2:
-        coef = 1
-    elif sq == -1:
-        coef = 2
-    else:
-        raise UnsupportedReflectionError(
-            f"reflection requires square -1 or -2, got {sq} for {s}"
-        )
+    coef = _reflection_coefficient(s)
     model = s.model
     n = model.rank
     gs = [_pair_coeffs(model, row, s.coeffs) for row in _unit_rows(n)]
@@ -341,6 +343,47 @@ def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
         for i in range(n)
     )
     return LatticeAutomorphism(model, rows)
+
+
+def _reflection_coefficient(s: HomologyClass) -> int:
+    sq = s.square
+    if sq == -2:
+        return 1
+    if sq == -1:
+        return 2
+    raise UnsupportedReflectionError(
+        f"reflection requires square -1 or -2, got {sq} for {s}"
+    )
+
+
+RootAction = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+def root_action(s: HomologyClass) -> RootAction:
+    """The reflection along ``s`` as ``x -> x + (x.s) coef*s``, kept sparse.
+
+    Returns the pairs (j, (G s)_j) and (i, coef*s_i) over the nonzero
+    entries, so ``reflect_coeffs`` costs O(support of s), not O(rank^2);
+    ``coef`` and the accepted squares are those of ``reflection_along``.
+    """
+    coef = _reflection_coefficient(s)
+    head = 1 if s.model.kind is Kind.RATIONAL else 2
+    support = [(i, c) for i, c in enumerate(s.coeffs) if c]
+    # G fixes L, swaps Y and F, and negates every E_i
+    dual = tuple((head - 1 - i, c) if i < head else (i, -c) for i, c in support)
+    return dual, tuple((i, coef * c) for i, c in support)
+
+
+def reflect_coeffs(action: RootAction, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Apply a ``root_action`` to a coefficient vector."""
+    dual, shift = action
+    dot = sum(coeffs[j] * g for j, g in dual)
+    if not dot:
+        return tuple(coeffs)
+    out = list(coeffs)
+    for i, c in shift:
+        out[i] += dot * c
+    return tuple(out)
 
 
 def _unit_rows(n: int) -> list[tuple[int, ...]]:
@@ -379,7 +422,7 @@ def positive_cone_contains(x) -> bool:
 def _basis_class(model: ManifoldModel, index: int) -> HomologyClass:
     coeffs = [0] * model.rank
     coeffs[index] = 1
-    return HomologyClass(model, tuple(coeffs))
+    return HomologyClass._trusted(model, tuple(coeffs))
 
 
 def line_class(model: ManifoldModel) -> HomologyClass:

@@ -36,6 +36,7 @@ from .lattice import (
     LatticeError,
     ManifoldModel,
     ModelMismatchError,
+    RootAction,
     _pair_coeffs,
     adjacent_difference,
     exceptional_class,
@@ -43,7 +44,9 @@ from .lattice import (
     line_triple_wall,
     pairing,
     positive_cone_contains,
+    reflect_coeffs,
     reflection_along,
+    root_action,
 )
 
 
@@ -79,7 +82,21 @@ class GeneratorSet(Record):
             raise LatticeError(f"no generator named {name!r}") from None
 
     def class_of(self, name: str) -> HomologyClass:
-        return self.classes[self.names.index(name)]
+        try:
+            return self.classes[self.names.index(name)]
+        except ValueError:
+            raise LatticeError(f"no generator named {name!r}") from None
+
+    @cached_property
+    def _root_actions(self) -> dict[str, RootAction]:
+        return {}
+
+    def root_action(self, name: str) -> RootAction:
+        """The sparse action of one generator, see ``lattice.root_action``."""
+        action = self._root_actions.get(name)
+        if action is None:
+            action = self._root_actions[name] = root_action(self.class_of(name))
+        return action
 
 
 def _require_generators(model: ManifoldModel) -> None:
@@ -264,20 +281,19 @@ def orbit(
     if max(abs(c) for c in seed.coeffs) > bound:
         raise LatticeError("seed already exceeds the coefficient bound")
     names = tuple(generator_names) if generator_names is not None else gens.names
-    matrices = [gens.automorphism(n).matrix for n in names]
+    actions = [gens.root_action(n) for n in names]
     start = seed.coeffs
     seen = {start}
     queue = deque([start])
     truncated = False
     while queue:
         current = queue.popleft()
-        for mat in matrices:
-            nxt = tuple(
-                sum(m_ij * c_j for m_ij, c_j in zip(row, current)) for row in mat
-            )
+        for action in actions:
+            nxt = reflect_coeffs(action, current)
             if nxt in seen:
                 continue
-            if max(abs(c) for c in nxt) > bound:
+            # only the support of the root moved, and current is within the bound
+            if any(abs(nxt[i]) > bound for i, _ in action[1]):
                 truncated = True
                 continue
             seen.add(nxt)
@@ -607,17 +623,17 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         raise LatticeError(f"reduce_class expects square -1, got {c.square}")
     l = model.blowups
     letters: list[str] = []
-    coeffs = list(c.coeffs)
+    coeffs = c.coeffs
 
     def apply(word_letters: Sequence[str]) -> None:
         nonlocal coeffs
         for letter in word_letters:
-            coeffs = list(gens.automorphism(letter).apply_coeffs(coeffs))
+            coeffs = reflect_coeffs(gens.root_action(letter), coeffs)
 
     if model.kind is Kind.RULED:
         if coeffs[0] != 0:
             return ClassReduction(
-                False, GroupWord(()), stalled=HomologyClass(model, coeffs)
+                False, GroupWord(()), stalled=HomologyClass._trusted(model, coeffs)
             )
         j = next(i for i in range(1, l + 1) if coeffs[1 + i] != 0)
         if coeffs[1 + j] == -1:
@@ -635,7 +651,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         if l > 1:
             apply(up := _transpositions(1, l))
             letters += up
-        final = HomologyClass(model, coeffs)
+        final = HomologyClass._trusted(model, coeffs)
         if final != exceptional_class(model, l):
             raise InternalConsistencyError(f"ruled reduction landed on {final}")
         return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)
@@ -666,7 +682,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
             return ClassReduction(
                 False,
                 GroupWord(tuple(letters)),
-                stalled=HomologyClass(model, coeffs),
+                stalled=HomologyClass._trusted(model, coeffs),
             )
         apply(["s0"])
         letters.append("s0")
@@ -680,7 +696,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
     if j < l:
         apply(up := _transpositions(j, l))
         letters += up
-    final = HomologyClass(model, coeffs)
+    final = HomologyClass._trusted(model, coeffs)
     if final != exceptional_class(model, l):
         raise InternalConsistencyError(f"rational reduction landed on {final}")
     return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)

@@ -8,7 +8,15 @@ import sys
 
 import pytest
 
-from ruled_lattice.cli import EXIT_FOUND, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from ruled_lattice.cli import (
+    _COMMANDS,
+    EXIT_FOUND,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -75,6 +83,23 @@ def test_usage_errors_exit_one(capsys):
     assert code == EXIT_USAGE
 
 
+def test_unknown_generator_exits_one(capsys, monkeypatch):
+    import io
+
+    flags = ("--model", "rational", "--ell", "3", "--seed", "0,1,0,0", "--bound", "2")
+    expected = (EXIT_USAGE, "", "error: no generator named 's9'\n")
+    assert run(capsys, "orbit", *flags, "--generators=s9") == expected
+
+    payload = {
+        "model": {"kind": "rational", "blowups": 3, "genus": 0},
+        "seed": [0, 1, 0, 0],
+        "bound": 2,
+        "generators": ["s9"],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert run(capsys, "orbit", "--input", "-", "--json") == expected
+
+
 def test_search_hit_exits_two(capsys):
     code, out, _ = run(capsys, "sw-search", "--ell", "10", "--k-max", "5")
     assert code == EXIT_FOUND
@@ -94,6 +119,27 @@ def test_outside_cone_exits_one(capsys):
     )
     assert code == EXIT_USAGE
     assert "cone" in err
+
+
+# ---------------------------------------------------------------------------
+# parser identity: main builds only the named subcommand's parser
+
+
+PARSER_CASES = [
+    [name, *extra]
+    for name in _COMMANDS
+    for extra in (["--help"], ["--bogus"], ["--input"], ["stray"])
+] + [["--help"], [], ["nonsense-subcommand"], ["--json", "pair"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # fixes argparse's help wrapping
+    code = main(list(argv))
+    got = (code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    assert got == (exc.value.code, *capsys.readouterr())
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +384,14 @@ report["pair"] = sorted(
     if m in sys.modules
 )
 
+# only the commands that read a rational import fractions (and with it decimal)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["reflect", "--model", "ruled", "--ell", "2", "--mirror", "0,0,1,0", "--target", "1,0,0,0"])
+    cli.main(["sw-check", "--k", "2", "--m", "1,1,1,1,1"])
+    cli.main(["sw-search", "--ell", "9", "--k-max", "4"])
+    cli.main(["extremal", "--k", "3", "--ell", "4"])
+report["rational_free"] = [m for m in ("fractions", "decimal") if m in sys.modules]
+
 # value types are Records: no cold call pulls in dataclasses (and inspect)
 HEAVY = ("dataclasses", "inspect")
 with contextlib.redirect_stdout(io.StringIO()):
@@ -410,6 +464,7 @@ def test_cold_import_set():
         "package": [],
         "help_missing": [],
         "pair": [],
+        "rational_free": [],
         "heavy_after_calls": [],
         "unresolved": [],
         "heavy_after_resolving": [],

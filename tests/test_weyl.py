@@ -12,6 +12,7 @@ from ruled_lattice.lattice import (
     ModelMismatchError,
     exceptional_class,
     rational_model,
+    reflection_along,
     ruled_model,
 )
 from ruled_lattice.weyl import (
@@ -171,6 +172,56 @@ def test_orbit_rejects_bad_seeds():
         orbit(g, HomologyClass(R3, (9, 0, 0, 0)), bound=2)
     with pytest.raises(ModelMismatchError):
         orbit(g, HomologyClass(R5, (0, 1, 0, 0, 0, 0)), bound=2)
+    with pytest.raises(LatticeError, match="no generator named 's9'"):
+        orbit(g, exceptional_class(R3, 1), bound=2, generator_names=("s1", "s9"))
+
+
+def test_unknown_generator_name_is_a_lattice_error():
+    g = generator_set(R3)
+    for lookup in (g.automorphism, g.class_of, g.root_action):
+        with pytest.raises(LatticeError, match="no generator named 's9'"):
+            lookup("s9")
+
+
+def _dense_orbit(gens, seed, bound, names):
+    """Reference BFS: dense matrix-vector products with the reflection_along
+    matrices, and the bound checked on every coefficient."""
+    matrices = [reflection_along(gens.class_of(n)).matrix for n in names]
+    seen, todo, truncated = {seed}, [seed], False
+    while todo:
+        v = todo.pop()
+        for m in matrices:
+            w = tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+            if max(map(abs, w)) > bound:
+                truncated = True
+            elif w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen, truncated
+
+
+@pytest.mark.parametrize(
+    "kind, l, bound, names",
+    [("rational", l, b, None) for l in (3, 4, 5) for b in (2, 3)]
+    + [("rational", 6, 2, None)]
+    + [("ruled", l, b, None) for l in (2, 3, 4) for b in (2, 3)]
+    + [
+        ("rational", 5, 3, ("s0", "s2", "s4")),
+        ("rational", 3, 5, ("s1", "s2", "s3")),  # a finite subgroup: not truncated
+        ("ruled", 3, 1, None),  # bound 1 truncates every orbit
+    ],
+    ids=lambda x: ",".join(x) if isinstance(x, tuple) else str(x),
+)
+def test_orbit_matches_dense_reference(kind, l, bound, names):
+    model = rational_model(l) if kind == "rational" else ruled_model(l)
+    g = generator_set(model)
+    names = names or g.names
+    # the last seed has every coefficient nonzero, so an image can leave the
+    # bound in any coordinate a generator moves
+    mixed = HomologyClass(model, (-1,) + (-bound,) * (model.rank - 1))
+    for seed in (exceptional_class(model, 1), g.class_of("s0"), mixed):
+        res = orbit(g, seed, bound, names)
+        assert (res.vectors, res.truncated) == _dense_orbit(g, seed.coeffs, bound, names)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,17 @@ class Record:
     def __post_init__(self) -> None:
         pass
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance from every field value in order, without ``__post_init__``.
+
+        For values the library derived from already-valid ones, so that only
+        the public constructor pays for validation.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls._fields, values))
+        return obj
+
     def _key(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 

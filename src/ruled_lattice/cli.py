@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .base import (
     CoxeterError,
@@ -25,9 +25,6 @@ from .base import (
     SMALL_CASE_LABELS,
     SWError,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # The library names the subcommands use, by home module.  A command names
 # the modules it needs and main binds their names into this module's globals
@@ -74,6 +71,7 @@ _LIBRARY = {
         "lagrangian_system",
         "maximal_system_membership",
         "orbit",
+        "read_period",
         "reduce_class",
         "reduce_periods",
         "verify_presentation",
@@ -117,19 +115,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # flag parsing
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
-
-
-def parse_rational(text: str) -> Fraction:
-    """An exact rational: an integer or p/q.  Decimal points are refused."""
-    from fractions import Fraction  # imports decimal; most commands need neither
-
-    item = text.strip()
-    if not _RATIONAL_RE.fullmatch(item):
-        raise UsageError(f"expected an exact rational like 3 or 7/2, got {text!r}")
-    return Fraction(item)
-
 
 def _split_list(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(",")]
@@ -395,8 +380,9 @@ def _conf_periods(p: argparse.ArgumentParser) -> None:
 
 def _gather_periods(args: argparse.Namespace) -> dict:
     model_d = _model_dict(args)
+    # the library's reader, so the flag accepts what an --input payload does
     values = [
-        str(parse_rational(x))
+        str(read_period(x))
         for x in _split_list(_require(args, "periods", "--periods"))
     ]
     head = 1 if model_d["kind"] == "rational" else 2

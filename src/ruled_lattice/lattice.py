@@ -160,13 +160,6 @@ class HomologyClass(Record):
             parts.append(f"{prefix}{'' if mag == 1 else mag}{name}")
         return "".join(parts) if parts else "0"
 
-    @classmethod
-    def _trusted(cls, model: ManifoldModel, coeffs: tuple[int, ...]) -> "HomologyClass":
-        """A class from a tuple of rank-many ints, built without re-checking."""
-        c = object.__new__(cls)
-        c.__dict__.update(model=model, coeffs=coeffs)
-        return c
-
     @property
     def square(self) -> int:
         return pairing(self, self)
@@ -390,7 +383,7 @@ def _unit_rows(n: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
-def positive_cone_contains(x) -> bool:
+def positive_cone_contains(c: HomologyClass) -> bool:
     """Membership in the symplectic positive cone.
 
     Rational model: the leading coefficient is positive and the square of the
@@ -399,20 +392,17 @@ def positive_cone_contains(x) -> bool:
     exceptional coefficients; this is strictly smaller than the square-positive
     cone, matching the image of actual symplectic forms.
 
-    Accepts a HomologyClass or any object with a ``dual_coefficients`` method
-    returning exact coefficients in the same basis (period vectors).
+    Both tests are unchanged by positive rescaling, so a period vector is
+    tested through the class of its integer dual coefficients.
     """
-    if isinstance(x, HomologyClass):
-        model, coeffs = x.model, x.coeffs
-    elif hasattr(x, "dual_coefficients"):
-        model, coeffs = x.model, x.dual_coefficients()
-    else:
-        raise LatticeError(f"cannot test cone membership of {x!r}")
-    if model.kind is Kind.RATIONAL:
+    if not isinstance(c, HomologyClass):
+        raise LatticeError(f"cannot test cone membership of {c!r}")
+    coeffs = c.coeffs
+    if c.model.kind is Kind.RATIONAL:
         lead = coeffs[0]
-        return lead > 0 and lead * lead > sum(c * c for c in coeffs[1:])
+        return lead > 0 and lead * lead > sum(x * x for x in coeffs[1:])
     s, n = coeffs[0], coeffs[1]
-    return s > 0 and s * n > sum(c * c for c in coeffs[2:])
+    return s > 0 and s * n > sum(x * x for x in coeffs[2:])
 
 
 # ---------------------------------------------------------------------------

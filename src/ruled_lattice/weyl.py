@@ -23,7 +23,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import coxeter
@@ -37,6 +37,7 @@ from .lattice import (
     ManifoldModel,
     ModelMismatchError,
     RootAction,
+    _check_int_coeffs,
     _pair_coeffs,
     adjacent_difference,
     exceptional_class,
@@ -308,12 +309,12 @@ def orbit(
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def _check_fraction(x) -> Fraction:
-    """An int, a Fraction, or a string spelling an integer or p/q exactly."""
+def read_period(x) -> int | Fraction:
+    """One exact period: an int, a Fraction, or a string spelling p or p/q."""
     if isinstance(x, bool):
         raise LatticeError("periods must be exact rationals")
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x
     if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
         try:
             return Fraction(x)
@@ -322,93 +323,95 @@ def _check_fraction(x) -> Fraction:
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
+# the periods over the head of the basis: L, resp. F then Y
+_HEAD_KEYS = {Kind.RATIONAL: ("line",), Kind.RULED: ("fiber", "section")}
+
+
 class PeriodVector(Record):
     """Periods of a (candidate) symplectic form in the fixed basis.
 
-    Rational model: ``line`` is the period over L, ``exceptional[i]`` over
-    E_{i+1}.  Ruled model: ``fiber`` is the period over F, ``section`` over
-    Y.  The dual homology class has coefficients (line, -mu_1, ..., -mu_l)
-    resp. (fiber, section, -mu_1, ..., -mu_l).
+    The periods are ``coeffs / denominator``, with ``coeffs`` the integer
+    dual coefficients in lowest terms: (line, -mu_1, ..., -mu_l) in the
+    rational model, where ``line`` is the period over L and mu_i the one
+    over E_i, resp. (fiber, section, -mu_1, ..., -mu_l) in the ruled one,
+    with ``fiber`` over F and ``section`` over Y.  The constructor checks
+    its fields; ``rational_periods``, ``ruled_periods``, ``from_json_dict``
+    and ``from_dual_coefficients`` take exact rationals instead.  The
+    reflections are unimodular, so the library builds their images with
+    ``_trusted``: they stay in lowest terms over the same denominator.
     """
 
     model: ManifoldModel
-    exceptional: tuple[Fraction, ...]
-    line: Optional[Fraction] = None
-    fiber: Optional[Fraction] = None
-    section: Optional[Fraction] = None
+    coeffs: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exceptional", tuple(_check_fraction(x) for x in self.exceptional)
-        )
-        if len(self.exceptional) != self.model.blowups:
+        object.__setattr__(self, "coeffs", _check_int_coeffs(self.coeffs))
+        if len(self.coeffs) != self.model.rank:
             raise LatticeError(
-                f"expected {self.model.blowups} exceptional periods, "
-                f"got {len(self.exceptional)}"
+                f"expected {self.model.rank} coefficients, got {len(self.coeffs)}"
             )
-        if self.model.kind is Kind.RATIONAL:
-            if self.line is None or self.fiber is not None or self.section is not None:
-                raise LatticeError("rational periods take line= only")
-            object.__setattr__(self, "line", _check_fraction(self.line))
-        else:
-            if self.fiber is None or self.section is None or self.line is not None:
-                raise LatticeError("ruled periods take fiber= and section=")
-            object.__setattr__(self, "fiber", _check_fraction(self.fiber))
-            object.__setattr__(self, "section", _check_fraction(self.section))
+        d = self.denominator
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise LatticeError(f"the denominator must be a positive integer, got {d!r}")
+        if gcd(d, *self.coeffs) != 1:
+            raise LatticeError(f"{self.coeffs}/{d} is not in lowest terms")
 
     @property
     def head(self) -> tuple[Fraction, ...]:
-        if self.model.kind is Kind.RATIONAL:
-            return (self.line,)
-        return (self.fiber, self.section)
+        """(line,) resp. (fiber, section)."""
+        h = len(_HEAD_KEYS[self.model.kind])
+        return tuple(Fraction(c, self.denominator) for c in self.coeffs[:h])
+
+    @property
+    def exceptional(self) -> tuple[Fraction, ...]:
+        """(mu_1, ..., mu_l)."""
+        h = len(_HEAD_KEYS[self.model.kind])
+        return tuple(Fraction(-c, self.denominator) for c in self.coeffs[h:])
 
     def dual_coefficients(self) -> tuple[Fraction, ...]:
-        return self.head + tuple(-m for m in self.exceptional)
+        return tuple(Fraction(c, self.denominator) for c in self.coeffs)
 
     @classmethod
     def from_dual_coefficients(
         cls, model: ManifoldModel, coeffs: Sequence
     ) -> "PeriodVector":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if model.kind is Kind.RATIONAL:
-            return cls(model, tuple(-c for c in coeffs[1:]), line=coeffs[0])
-        return cls(
-            model,
-            tuple(-c for c in coeffs[2:]),
-            fiber=coeffs[0],
-            section=coeffs[1],
-        )
+        coeffs = tuple(coeffs)
+        if len(coeffs) != model.rank:
+            raise LatticeError(f"expected {model.rank} coefficients, got {len(coeffs)}")
+        h = len(_HEAD_KEYS[model.kind])
+        return _periods(model, coeffs[:h], coeffs[h:], sign=1)
 
     def period_of(self, c: HomologyClass) -> Fraction:
         """The period over an integral class (pairing with the dual class)."""
         if c.model != self.model:
             raise ModelMismatchError("class and periods disagree on the model")
-        return _pair_coeffs(self.model, self.dual_coefficients(), c.coeffs)
+        pair = _pair_coeffs(self.model, self.coeffs, c.coeffs)
+        return Fraction(pair, self.denominator)
+
+    def wall_periods(self) -> tuple[int, ...]:
+        """The periods over the generator classes s0..s_l, times ``denominator``.
+
+        None is negative exactly when the vector satisfies the period
+        conditions, and the zeros name the walls that contain it.
+        """
+        _require_generators(self.model)
+        c = self.coeffs
+        h = len(_HEAD_KEYS[self.model.kind])
+        # c[h + i - 1] = -mu_i; s0 is L - E1 - E2 - E3 resp. F - E1 - E2
+        s0 = c[0] + sum(c[h:4])
+        return (s0, *(c[j + 1] - c[j] for j in range(h, len(c) - 1)), -c[-1])
 
     def satisfies_period_conditions(self) -> bool:
-        _require_generators(self.model)
-        mus = self.exceptional
-        if any(mus[i] < mus[i + 1] for i in range(len(mus) - 1)):
-            return False
-        if mus[-1] < 0:
-            return False
-        if self.model.kind is Kind.RATIONAL:
-            return self.line >= mus[0] + mus[1] + mus[2]
-        return self.fiber >= mus[0] + mus[1]
+        return min(self.wall_periods()) >= 0
 
     def __str__(self) -> str:
-        mus = ",".join(str(m) for m in self.exceptional)
-        if self.model.kind is Kind.RATIONAL:
-            return f"({self.line}; {mus})"
-        return f"({self.fiber}, {self.section}; {mus})"
+        head = ", ".join(map(str, self.head))
+        return f"({head}; {','.join(map(str, self.exceptional))})"
 
     def to_json_dict(self) -> dict:
         out: dict = {"model": self.model.to_json_dict()}
-        if self.model.kind is Kind.RATIONAL:
-            out["line"] = str(self.line)
-        else:
-            out["fiber"] = str(self.fiber)
-            out["section"] = str(self.section)
+        out.update(zip(_HEAD_KEYS[self.model.kind], map(str, self.head)))
         out["exceptional"] = [str(m) for m in self.exceptional]
         return out
 
@@ -416,29 +419,47 @@ class PeriodVector(Record):
     def from_json_dict(cls, data: dict) -> "PeriodVector":
         try:
             model = ManifoldModel.from_json_dict(data["model"])
-            # __post_init__ validates every entry with _check_fraction
             if isinstance(data["exceptional"], str):
                 raise LatticeError("'exceptional' must be a list of periods")
             mus = tuple(data["exceptional"])
-            if model.kind is Kind.RATIONAL:
-                return cls(model, mus, line=data["line"])
-            return cls(model, mus, fiber=data["fiber"], section=data["section"])
+            head = [data[key] for key in _HEAD_KEYS[model.kind]]
+            return _periods(model, head, mus)
         except (KeyError, TypeError, ValueError) as exc:
             raise LatticeError(f"malformed period JSON: {exc}") from exc
+
+
+def _periods(
+    model: ManifoldModel, head: Sequence, mus: Sequence, sign: int = -1
+) -> PeriodVector:
+    """The one reader of exact periods, over their least common denominator.
+
+    The dual coefficients are ``head`` followed by ``sign * mus``; every
+    entry goes through ``read_period``.  Putting lowest-terms rationals
+    over their lcm leaves the integers in lowest terms.
+    """
+    mus = [read_period(x) for x in mus]
+    if len(mus) != model.blowups:
+        raise LatticeError(
+            f"expected {model.blowups} exceptional periods, got {len(mus)}"
+        )
+    values = [read_period(x) for x in head] + mus
+    d = lcm(*(v.denominator for v in values))
+    coeffs = [v.numerator * (d // v.denominator) for v in values]
+    h = len(head)
+    coeffs[h:] = [sign * c for c in coeffs[h:]]
+    return PeriodVector._trusted(model, tuple(coeffs), d)
 
 
 def rational_periods(blowups: int, line, mus) -> PeriodVector:
     from .lattice import rational_model
 
-    return PeriodVector(rational_model(blowups), tuple(mus), line=line)
+    return _periods(rational_model(blowups), (line,), mus)
 
 
 def ruled_periods(blowups: int, fiber, section, mus, genus: int = 1) -> PeriodVector:
     from .lattice import ruled_model
 
-    return PeriodVector(
-        ruled_model(blowups, genus), tuple(mus), fiber=fiber, section=section
-    )
+    return _periods(ruled_model(blowups, genus), (fiber, section), mus)
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +481,7 @@ class PeriodReduction(Record):
 
 def _boundary_flags(p: PeriodVector) -> tuple[str, ...]:
     """Names of the generators whose walls contain the reduced vector."""
-    mus = p.exceptional
-    l = len(mus)
-    flags = []
-    if p.model.kind is Kind.RATIONAL:
-        if p.line == mus[0] + mus[1] + mus[2]:
-            flags.append("s0")
-    else:
-        if p.fiber == mus[0] + mus[1]:
-            flags.append("s0")
-    for i in range(1, l):
-        if mus[i - 1] == mus[i]:
-            flags.append(f"s{i}")
-    if mus[-1] == 0:
-        flags.append(f"s{l}")
-    return tuple(flags)
+    return tuple(f"s{i}" for i, w in enumerate(p.wall_periods()) if w == 0)
 
 
 def reduce_periods(p: PeriodVector) -> PeriodReduction:
@@ -482,25 +489,22 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
 
     The loop bubble-sorts the exceptional periods (adjacent transpositions),
     flips a trailing negative entry with the twist, and crosses the extra
-    wall whenever the leading inequality fails.  Internally the vector is
-    scaled to integers; the head period that the extra wall strictly
-    decreases (line resp. section) is a positive integer throughout, which
-    bounds the number of wall crossings.
+    wall whenever the leading inequality fails.  It runs on the integer
+    dual coefficients, whose common denominator no letter changes; the head
+    period that the extra wall strictly decreases (line resp. section) is a
+    positive integer throughout, which bounds the number of wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
     vector are reported in ``boundary_flags``.
     """
     _require_generators(p.model)
-    if not positive_cone_contains(p):
+    if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
         raise OutsideConeError(f"{p} is not in the open positive cone")
-    denom = lcm(
-        *(x.denominator for x in p.head),
-        *(x.denominator for x in p.exceptional),
-    )
-    head = [int(x * denom) for x in p.head]
-    mus = [int(x * denom) for x in p.exceptional]
-    l = len(mus)
     rational = p.model.kind is Kind.RATIONAL
+    h = 1 if rational else 2
+    head = list(p.coeffs[:h])
+    mus = [-c for c in p.coeffs[h:]]
+    l = len(mus)
     letters: list[str] = []
 
     def sort_pass() -> None:
@@ -541,11 +545,8 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
                 continue
         break
 
-    reduced = PeriodVector.from_dual_coefficients(
-        p.model,
-        [Fraction(h, denom) for h in head]
-        + [Fraction(-m, denom) for m in mus],
-    )
+    # the letters are unimodular, so the same denominator keeps lowest terms
+    reduced = PeriodVector._trusted(p.model, (*head, *(-m for m in mus)), p.denominator)
     if not reduced.satisfies_period_conditions():
         raise InternalConsistencyError(f"reduction of {p} missed the domain")
     return PeriodReduction(reduced, GroupWord(tuple(letters)), _boundary_flags(reduced))
@@ -781,13 +782,13 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     their generator names; the twist wall E_l is excluded because its class
     has square -1, not -2, so it never bounds a Lagrangian sphere system.
     """
-    if not p.satisfies_period_conditions():
+    walls = p.wall_periods()
+    if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
     gens = generator_set(p.model)
-    l = p.model.blowups
-    wall_names = [n for n in gens.names if n != f"s{l}"]
+    # zip stops before the twist s_l, the last generator
     members = [
-        (n, gens.class_of(n)) for n in wall_names if p.period_of(gens.class_of(n)) == 0
+        (n, c) for n, c, w in zip(gens.names[:-1], gens.classes, walls) if w == 0
     ]
     names = [n for n, _ in members]
     classes = [c for _, c in members]

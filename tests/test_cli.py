@@ -224,6 +224,30 @@ def test_input_periods_are_validated(capsys, monkeypatch, exceptional):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["1/05", "+5", "-0/7", "6/4", "1/0"])
+def test_period_flag_reads_like_input(capsys, monkeypatch, text):
+    import io
+
+    flag = run(
+        capsys, "reduce-periods", "--model", "rational", "--ell", "3",
+        "--periods", f"9,1,1,{text}", "--json",
+    )
+    periods = {
+        "model": {"kind": "rational", "blowups": 3, "genus": 0},
+        "line": "9",
+        "exceptional": ["1", "1", text],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"periods": periods})))
+    replay = run(capsys, "reduce-periods", "--input", "-", "--json")
+    if text == "1/0":
+        for code, out, err in (flag, replay):
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert flag[0] == replay[0] == EXIT_OK
+    assert json.loads(flag[1])["result"] == json.loads(replay[1])["result"]
+
+
 @pytest.mark.parametrize(
     "system",
     [

@@ -39,7 +39,7 @@ def _samples() -> dict:
         weyl.PresentationEntry: ("s0", "s1", coxeter.INF, None),
         weyl.PresentationReport: (model, (entry,)),
         weyl.OrbitResult: (model, frozenset({(1, 0, 0, -1)}), False),
-        weyl.PeriodVector: (ruled_model(2), (1, 1), None, 3, 2),
+        weyl.PeriodVector: (ruled_model(2), (6, 4, -3, -3), 2),
         weyl.PeriodReduction: (periods, word, ("s1",)),
         weyl.ClassReduction: (True, word, e1, None),
         weyl.LagrangianSystem: (model, ("s1",), (e1 - e1,), a2, ("A1",)),

@@ -1,5 +1,7 @@
 """Weyl-group machinery: generators, orbits, reductions, wall systems."""
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -235,10 +237,28 @@ def test_period_vector_validation():
         rational_periods(3, 1.5, (1, 1, 1))  # floats are ambiguous
     with pytest.raises(LatticeError):
         rational_periods(3, True, (1, 1, 1))
+    u2 = U2.to_json_dict()
+    with pytest.raises(LatticeError):  # a ruled model needs fiber and section
+        PeriodVector.from_json_dict({"model": u2, "line": "3", "exceptional": ["1", "1"]})
     with pytest.raises(LatticeError):
-        PeriodVector(U2, (Fraction(1), Fraction(1)), line=Fraction(3))
-    with pytest.raises(LatticeError):
-        PeriodVector(U2, (Fraction(1), Fraction(1)), fiber=Fraction(2))
+        PeriodVector.from_json_dict({"model": u2, "fiber": "2", "exceptional": ["1", "1"]})
+    # the constructor takes integer dual coefficients in lowest terms
+    assert PeriodVector(R3, (3, -1, -1, -1), 1) == rational_periods(3, 3, (1, 1, 1))
+    assert PeriodVector(U2, (4, 9, -2, -2), 2) == ruled_periods(2, 2, Fraction(9, 2), (1, 1))
+    for coeffs, denominator in (
+        ((3, -1, -1), 1),  # wrong length
+        ((3, -1, -1, -1, 0), 1),
+        ((3.0, -1, -1, -1), 1),
+        ((3, True, -1, -1), 1),
+        ((3, -1, -1, -1), 0),
+        ((3, -1, -1, -1), -1),
+        ((3, -1, -1, -1), True),
+        ((3, -1, -1, -1), 1.0),
+        ((2, 0, 0, 0), 2),  # not in lowest terms
+        ((0, 0, 0, 0), 2),
+    ):
+        with pytest.raises(LatticeError):
+            PeriodVector(R3, coeffs, denominator)
     for text in ("0.1", "1e0", " 1 "):  # Fraction parses these; a period is p or p/q
         with pytest.raises(LatticeError, match="exact rationals"):
             rational_periods(3, 5, (text, 1, 1))
@@ -367,40 +387,59 @@ def test_reduction_json_shape():
 
 
 @st.composite
-def cone_periods(draw):
-    lam = draw(st.integers(min_value=1, max_value=30))
-    mus = draw(
-        st.lists(st.integers(min_value=-10, max_value=10), min_size=4, max_size=4)
-    )
-    if sum(m * m for m in mus) >= lam * lam:
-        mus = [0, 0, 0, 0]
-    return rational_periods(4, lam, mus)
+def cone_periods(draw, kinds=("rational", "ruled")):
+    """A point of the coded cone over one denominator in {1, 2, 3, 7}:
+    rational l = 3..9 or ruled l = 2..7, often close to the cone's edge."""
+    ruled = draw(st.sampled_from(kinds)) == "ruled"
+    l = draw(st.integers(2, 7) if ruled else st.integers(3, 9))
+    d = draw(st.sampled_from((1, 2, 3, 7)))
+    mus = draw(st.lists(st.integers(-10, 10), min_size=l, max_size=l))
+    norm = sum(m * m for m in mus)
+    mus = [Fraction(m, d) for m in mus]
+    if ruled:
+        fiber = draw(st.integers(1, 30))
+        section = norm // fiber + draw(st.integers(1, 30))  # fiber*section > norm
+        return ruled_periods(l, Fraction(fiber, d), Fraction(section, d), mus)
+    lam = max(draw(st.integers(1, 40)), math.isqrt(norm) + 1)
+    return rational_periods(l, Fraction(lam, d), mus)
 
 
 @given(cone_periods())
 @settings(max_examples=150, deadline=None)
 def test_reduction_properties(p):
+    g = generator_set(p.model)
+    # the wall periods, read off the coefficients, against the pairing
+    assert [Fraction(w, p.denominator) for w in p.wall_periods()] == [
+        p.period_of(c) for c in g.classes
+    ]
     red = reduce_periods(p)
     assert red.reduced.satisfies_period_conditions()
-    g = generator_set(p.model)
-    assert (
-        red.word.apply_to_coeffs(g, p.dual_coefficients())
-        == red.reduced.dual_coefficients()
-    )
+    assert red.reduced.denominator == p.denominator
+    assert red.word.apply_to_coeffs(g, p.coeffs) == red.reduced.coeffs
     again = reduce_periods(red.reduced)
     assert again.reduced == red.reduced
     assert again.word.letters == ()
+    data = json.loads(json.dumps(red.to_json_dict()))
+    assert PeriodVector.from_json_dict(data["reduced"]) == red.reduced
 
 
-@given(
-    cone_periods(),
-    st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4"]), max_size=8),
-)
+@st.composite
+def moved_periods(draw):
+    p = draw(cone_periods(kinds=("rational",)))
+    names = [f"s{i}" for i in range(p.model.blowups + 1)]
+    return p, draw(st.lists(st.sampled_from(names), max_size=8))
+
+
+# Rational model only: the ruled cone the code accepts is not preserved by
+# s0 (the cone defect in ROADMAP item 3), so a random word can leave it.
+@given(moved_periods())
 @settings(max_examples=150, deadline=None)
-def test_reduction_is_orbit_canonical(p, letters):
+def test_reduction_is_orbit_canonical(case):
+    p, letters = case
     g = generator_set(p.model)
-    moved = PeriodVector.from_dual_coefficients(
-        p.model, GroupWord(tuple(letters)).apply_to_coeffs(g, p.dual_coefficients())
+    # the constructor refuses coefficients that are not in lowest terms
+    moved = PeriodVector(
+        p.model, GroupWord(tuple(letters)).apply_to_coeffs(g, p.coeffs), p.denominator
     )
     assert reduce_periods(moved).reduced == reduce_periods(p).reduced
 

@@ -4,8 +4,13 @@ The command line maps the four exception classes to exit codes and lists
 the small-case labels in its help before it knows which subcommand runs,
 so they live here, away from the modules that define the mathematics;
 each is re-exported from its home module.  ``Record`` is the base of every
-value type in the package.
+value type in the package.  ``INF`` and the two rational helpers are here
+so that ``weyl`` and ``qsqrt2`` need neither ``coxeter`` nor ``fractions``
+(with ``decimal`` and ``numbers``) until a caller asks for a ``Fraction``.
 """
+
+import sys
+from math import gcd
 
 
 class Record:
@@ -132,3 +137,41 @@ SMALL_CASE_LABELS = (
     "blownup-S2xS2",
     "blownup-YxS2",
 )
+
+
+class _Infinity:
+    """The infinite pair order; a dedicated singleton, not a sentinel int."""
+
+    __slots__ = ()
+    _instance = None
+
+    def __new__(cls) -> "_Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "inf"
+
+    def __reduce__(self):
+        return (_Infinity, ())
+
+
+INF = _Infinity()
+
+
+def is_fraction(x) -> bool:
+    """Whether ``x`` is a ``fractions.Fraction``, without importing fractions.
+
+    No Fraction exists before the module is loaded.
+    """
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def rational_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ints ``p`` and ``q > 0``: "p" or "p/q"."""
+    g = gcd(p, q)
+    if g != q:
+        return f"{p // g}/{q // g}"
+    return str(p // g)

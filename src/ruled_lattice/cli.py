@@ -11,6 +11,7 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -28,9 +29,10 @@ from .base import (
 
 # The library names the subcommands use, by home module.  A command names
 # the modules it needs and main binds their names into this module's globals
-# just before dispatch, so a cold call loads only what its subcommand uses.
-# Binding never replaces a name already set, so a wrapper installed with
-# setattr (a tracer, a test double) stays in place.
+# just before dispatch, so a cold call loads only what its subcommand uses
+# (a gather binds more itself on a path that needs more).  Binding never
+# replaces a name already set, so a wrapper installed with setattr (a
+# tracer, a test double) stays in place.
 _LIBRARY = {
     "catalog": (
         "decompose_O12",
@@ -71,7 +73,7 @@ _LIBRARY = {
         "lagrangian_system",
         "maximal_system_membership",
         "orbit",
-        "read_period",
+        "periods_json",
         "reduce_class",
         "reduce_periods",
         "verify_presentation",
@@ -380,25 +382,10 @@ def _conf_periods(p: argparse.ArgumentParser) -> None:
 
 def _gather_periods(args: argparse.Namespace) -> dict:
     model_d = _model_dict(args)
-    # the library's reader, so the flag accepts what an --input payload does
-    values = [
-        str(read_period(x))
-        for x in _split_list(_require(args, "periods", "--periods"))
-    ]
-    head = 1 if model_d["kind"] == "rational" else 2
-    want = model_d["blowups"] + head
-    if len(values) != want:
-        raise UsageError(
-            f"expected {want} periods for this model, got {len(values)}"
-        )
-    periods: dict = {"model": model_d}
-    if head == 1:
-        periods["line"] = values[0]
-    else:
-        periods["fiber"] = values[0]
-        periods["section"] = values[1]
-    periods["exceptional"] = values[head:]
-    return {"periods": periods}
+    # the library's reader and key table, so the flag accepts what an
+    # --input payload does and only weyl knows the payload's shape
+    values = _split_list(_require(args, "periods", "--periods"))
+    return {"periods": periods_json(model_d, values)}
 
 
 def _get_periods(inp: dict) -> PeriodVector:
@@ -505,6 +492,7 @@ def _gather_coxeter_finite(args: argparse.Namespace) -> dict:
             raise UsageError("pass --system or --model/--ell, not both")
         system = from_name(args.system)
     else:
+        _bind(("lattice", "weyl"))  # only this path reads a model
         system = expected_coxeter_system(_get_model(_gather_model_only(args)))
     return {"system": system.to_json_dict()}
 
@@ -837,7 +825,7 @@ _COMMANDS = {
             _conf_coxeter_finite,
             _gather_coxeter_finite,
             _run_coxeter_finite,
-            ("coxeter", "lattice", "weyl"),
+            ("coxeter",),
         ),
         _Command(
             "crystal-check",
@@ -985,5 +973,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return outcome.code
 
 
+def run() -> None:
+    """The process entry point: ``main()``, then exit without a heap walk.
+
+    ``gc.freeze()`` moves every live object into the permanent generation,
+    which the collection run at interpreter shutdown skips; the process
+    ends right after, so nothing is left to collect.  ``main()`` itself
+    leaves the collector alone, for callers that keep running.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,29 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .base import CoxeterError, Record
+from .base import INF, CoxeterError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
-
-
-class _Infinity:
-    """The infinite pair order; a dedicated singleton, not a sentinel int."""
-
-    __slots__ = ()
-    _instance: Optional["_Infinity"] = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __reduce__(self):
-        return (_Infinity, ())
-
-
-INF = _Infinity()
 
 
 def _is_pair_order(m) -> bool:

@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import coxeter
-from .base import InternalConsistencyError, Record
-from .coxeter import INF, CoxeterSystem, system_from_edges
+from .base import INF, InternalConsistencyError, Record, is_fraction, rational_text
 from .lattice import (
     HomologyClass,
     Kind,
@@ -49,6 +46,15 @@ from .lattice import (
     reflection_along,
     root_action,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .coxeter import CoxeterSystem
+
+# ``coxeter`` (with ``qsqrt2``) is imported only where a Coxeter system is
+# built, and ``fractions`` only by PeriodVector._fractions, so that
+# reductions, orbits and class moves load neither.
 
 
 class OutsideConeError(LatticeError):
@@ -167,6 +173,8 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     The two degenerate chains keep the generator order s0..s_l, which
     coxeter.L4_344 and coxeter.L3_44 do not.
     """
+    from . import coxeter
+
     l = model.blowups
     if model.kind is Kind.RATIONAL:
         if l < 3:
@@ -182,23 +190,38 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
             return coxeter.type_BD(l + 1)
         edges = [("s1", "s2", 4), ("s0", "s2", 4)]
         label = "L3-4-4"
-    return system_from_edges([f"s{i}" for i in range(l + 1)], edges, label=label)
+    names = [f"s{i}" for i in range(l + 1)]
+    return coxeter.system_from_edges(names, edges, label=label)
 
 
-def _matrix_order(m: LatticeAutomorphism, cap: int) -> Optional[int]:
-    ident = LatticeAutomorphism.identity(m.model)
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = m @ power
-    return None
+def _product_order(
+    first: RootAction, then: RootAction, rank: int, cap: int
+) -> Optional[int]:
+    """Order of ``then`` after ``first`` on Z^rank; None when above ``cap``.
+
+    The order is the lcm of the periods of the basis vectors, each followed
+    through the sparse root actions.
+    """
+    order = 1
+    for i in range(rank):
+        start = (0,) * i + (1,) + (0,) * (rank - i - 1)
+        v = start
+        for k in range(1, cap + 1):
+            v = reflect_coeffs(then, reflect_coeffs(first, v))
+            if v == start:
+                break
+        else:
+            return None
+        order = lcm(order, k)
+        if order > cap:
+            return None
+    return order
 
 
 class PresentationEntry(Record):
     a: str
     b: str
-    expected: object  # int or coxeter.INF
+    expected: object  # int or INF
     computed: Optional[int]
 
     @property
@@ -236,19 +259,19 @@ class PresentationReport(Record):
 def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport:
     """Check every pairwise product order on H_2 against the asserted graph.
 
-    The orders are computed with exact integer matrices; the graph is the
-    independent combinatorial claim, so the two routes stay separate.
+    The orders are computed exactly, on the integer lattice, from the sparse
+    root actions of the generators; the graph is the independent
+    combinatorial claim, so the two routes stay separate.
     """
     expected = expected_coxeter_system(gens.model)
+    rank = gens.model.rank
     entries = []
     for i, a in enumerate(gens.names):
         for b in gens.names[i + 1 :]:
-            product = gens.automorphism(a) @ gens.automorphism(b)
-            entries.append(
-                PresentationEntry(
-                    a, b, expected.order(a, b), _matrix_order(product, cap)
-                )
+            computed = _product_order(
+                gens.root_action(b), gens.root_action(a), rank, cap
             )
+            entries.append(PresentationEntry(a, b, expected.order(a, b), computed))
     return PresentationReport(gens.model, tuple(entries))
 
 
@@ -309,22 +332,49 @@ def orbit(
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def read_period(x) -> int | Fraction:
-    """One exact period: an int, a Fraction, or a string spelling p or p/q."""
+def read_period(x) -> tuple[int, int]:
+    """One exact period as (numerator, denominator > 0) in lowest terms.
+
+    ``x`` is an int, a Fraction, or a string spelling p or p/q; the one
+    reader of periods, for the library's builders and the CLI's flag.
+    """
     if isinstance(x, bool):
         raise LatticeError("periods must be exact rationals")
-    if isinstance(x, (int, Fraction)):
-        return x
+    if isinstance(x, int) or is_fraction(x):
+        return x.numerator, x.denominator
     if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise LatticeError(f"period {x!r} has a zero denominator") from None
+        num, _, den = x.partition("/")
+        p, q = int(num), int(den or 1)
+        if q == 0:
+            raise LatticeError(f"period {x!r} has a zero denominator")
+        g = gcd(p, q)
+        return p // g, q // g
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
 # the periods over the head of the basis: L, resp. F then Y
 _HEAD_KEYS = {Kind.RATIONAL: ("line",), Kind.RULED: ("fiber", "section")}
+
+
+def _json_periods(model: dict, keys: tuple[str, ...], texts: Sequence[str]) -> dict:
+    """The JSON object of a period vector: model, head keys, exceptional."""
+    out: dict = {"model": model}
+    out.update(zip(keys, texts))
+    out["exceptional"] = list(texts[len(keys) :])
+    return out
+
+
+def periods_json(model: dict, periods: Sequence) -> dict:
+    """The JSON object ``PeriodVector.from_json_dict`` reads, built from a
+    model's JSON object and the periods in basis order (head first, then
+    mu_1..mu_l), each read by ``read_period`` and printed in lowest terms.
+    """
+    texts = [rational_text(*read_period(x)) for x in periods]
+    keys = _HEAD_KEYS[Kind(model["kind"])]
+    want = model["blowups"] + len(keys)
+    if len(texts) != want:
+        raise LatticeError(f"expected {want} periods for this model, got {len(texts)}")
+    return _json_periods(model, keys, texts)
 
 
 class PeriodVector(Record):
@@ -357,20 +407,25 @@ class PeriodVector(Record):
         if gcd(d, *self.coeffs) != 1:
             raise LatticeError(f"{self.coeffs}/{d} is not in lowest terms")
 
+    def _fractions(self, nums) -> tuple[Fraction, ...]:
+        """``nums`` over the denominator, the one place that builds Fractions."""
+        from fractions import Fraction
+
+        return tuple(Fraction(n, self.denominator) for n in nums)
+
     @property
     def head(self) -> tuple[Fraction, ...]:
         """(line,) resp. (fiber, section)."""
-        h = len(_HEAD_KEYS[self.model.kind])
-        return tuple(Fraction(c, self.denominator) for c in self.coeffs[:h])
+        return self._fractions(self.coeffs[: len(_HEAD_KEYS[self.model.kind])])
 
     @property
     def exceptional(self) -> tuple[Fraction, ...]:
         """(mu_1, ..., mu_l)."""
         h = len(_HEAD_KEYS[self.model.kind])
-        return tuple(Fraction(-c, self.denominator) for c in self.coeffs[h:])
+        return self._fractions(-c for c in self.coeffs[h:])
 
     def dual_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.denominator) for c in self.coeffs)
+        return self._fractions(self.coeffs)
 
     @classmethod
     def from_dual_coefficients(
@@ -386,8 +441,7 @@ class PeriodVector(Record):
         """The period over an integral class (pairing with the dual class)."""
         if c.model != self.model:
             raise ModelMismatchError("class and periods disagree on the model")
-        pair = _pair_coeffs(self.model, self.coeffs, c.coeffs)
-        return Fraction(pair, self.denominator)
+        return self._fractions((_pair_coeffs(self.model, self.coeffs, c.coeffs),))[0]
 
     def wall_periods(self) -> tuple[int, ...]:
         """The periods over the generator classes s0..s_l, times ``denominator``.
@@ -405,15 +459,20 @@ class PeriodVector(Record):
     def satisfies_period_conditions(self) -> bool:
         return min(self.wall_periods()) >= 0
 
+    def _texts(self) -> list[str]:
+        """The periods in basis order, head then mu_1..mu_l, as "p" or "p/q"."""
+        h = len(_HEAD_KEYS[self.model.kind])
+        d = self.denominator
+        return [rational_text(c if j < h else -c, d) for j, c in enumerate(self.coeffs)]
+
     def __str__(self) -> str:
-        head = ", ".join(map(str, self.head))
-        return f"({head}; {','.join(map(str, self.exceptional))})"
+        texts = self._texts()
+        h = len(_HEAD_KEYS[self.model.kind])
+        return f"({', '.join(texts[:h])}; {','.join(texts[h:])})"
 
     def to_json_dict(self) -> dict:
-        out: dict = {"model": self.model.to_json_dict()}
-        out.update(zip(_HEAD_KEYS[self.model.kind], map(str, self.head)))
-        out["exceptional"] = [str(m) for m in self.exceptional]
-        return out
+        keys = _HEAD_KEYS[self.model.kind]
+        return _json_periods(self.model.to_json_dict(), keys, self._texts())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PeriodVector":
@@ -443,8 +502,8 @@ def _periods(
             f"expected {model.blowups} exceptional periods, got {len(mus)}"
         )
     values = [read_period(x) for x in head] + mus
-    d = lcm(*(v.denominator for v in values))
-    coeffs = [v.numerator * (d // v.denominator) for v in values]
+    d = lcm(*(q for _, q in values))
+    coeffs = [p * (d // q) for p, q in values]
     h = len(head)
     coeffs[h:] = [sign * c for c in coeffs[h:]]
     return PeriodVector._trusted(model, tuple(coeffs), d)
@@ -805,7 +864,9 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
                 edges.append((na, nb, 3))
                 adj[na].append(nb)
                 adj[nb].append(na)
-    system = system_from_edges(tuple(names), edges)
+    from . import coxeter
+
+    system = coxeter.system_from_edges(tuple(names), edges)
     labels = []
     unvisited = set(names)
     for start in names:

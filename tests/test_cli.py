@@ -1,6 +1,7 @@
 """Command-line interface: contracts, exit codes, JSON round-trips."""
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -374,6 +375,36 @@ def test_reduce_class_not_in_orbit_stays_zero(capsys):
 # console entry point
 
 
+def test_main_leaves_the_collector_alone(capsys):
+    # only run(), the process entry, freezes the heap; in-process callers
+    # (tests, the traced benchmark) keep a collector that sees every object
+    before = (gc.isenabled(), gc.get_freeze_count())
+    run(capsys, "pair", "--model", "rational", "--ell", "3", "--a", "1,0,0,0", "--b", "0,1,0,0")
+    run(capsys, "pair", "--bogus")
+    run(capsys, "sw-search", "--ell", "10", "--k-max", "4")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["coxeter-check", "--model", "rational", "--ell", "6", "--json"], EXIT_OK),
+        (["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "1.5,1,1,1"], EXIT_USAGE),
+        (["sw-search", "--ell", "11", "--k-max", "12", "--json"], EXIT_FOUND),
+    ],
+    ids=("pass", "usage-error", "found"),
+)
+def test_module_entry_exits_with_complete_output(capsys, argv, expected):
+    # the process entry (run) keeps main's exit code and flushes all of stdout
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out if expected != EXIT_USAGE else err.startswith("error: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ruled_lattice.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ruled_lattice.cli", "coxeter-finite", "--system", "BD7"],
@@ -400,28 +431,66 @@ from ruled_lattice.base import SMALL_CASE_LABELS
 help_text = io.StringIO()
 with contextlib.redirect_stdout(help_text):
     cli.main(["describe", "--help"])
-    cli.main(["pair", "--model", "rational", "--ell", "3", "--a", "1,0,0,0", "--b", "0,1,0,0"])
 report["help_missing"] = [l for l in SMALL_CASE_LABELS if l not in help_text.getvalue()]
+
+RATIONALS = ("fractions", "decimal", "numbers")
+report["rationals_loaded"] = {}
+report["failed_calls"] = []
+called = set()
+
+
+def call(argv):
+    # one direct --json call and its replay through --input -, then the
+    # exact-rational modules must still be absent
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    sys.stdin = io.StringIO(out.getvalue())
+    replayed = io.StringIO()
+    with contextlib.redirect_stdout(replayed), contextlib.redirect_stderr(io.StringIO()):
+        replay_code = cli.main([argv[0], "--input", "-", "--json"])
+    sys.stdin = sys.__stdin__
+    called.add(argv[0])
+    if code not in (0, 2) or replay_code != code or replayed.getvalue() != out.getvalue():
+        report["failed_calls"].append(argv[0])
+    loaded = [m for m in RATIONALS if m in sys.modules]
+    if loaded:
+        report["rationals_loaded"].setdefault(argv[0], loaded)
+
+
+call(["pair", "--model", "rational", "--ell", "3", "--a", "1,0,0,0", "--b", "0,1,0,0"])
 report["pair"] = sorted(
     m
     for m in ("ruled_lattice.catalog", "ruled_lattice.sw", "ruled_lattice.weyl", "concurrent.futures")
     if m in sys.modules
 )
 
-# only the commands that read a rational import fractions (and with it decimal)
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["reflect", "--model", "ruled", "--ell", "2", "--mirror", "0,0,1,0", "--target", "1,0,0,0"])
-    cli.main(["sw-check", "--k", "2", "--m", "1,1,1,1,1"])
-    cli.main(["sw-search", "--ell", "9", "--k-max", "4"])
-    cli.main(["extremal", "--k", "3", "--ell", "4"])
-report["rational_free"] = [m for m in ("fractions", "decimal") if m in sys.modules]
+# reductions, orbits and class moves build no Coxeter system
+call(["reflect", "--model", "ruled", "--ell", "2", "--mirror", "0,0,1,0", "--target", "1,0,0,0"])
+call(["orbit", "--model", "rational", "--ell", "3", "--seed", "0,0,0,1", "--bound", "2"])
+call(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
+call(["reduce-periods", "--model", "ruled", "--ell", "3", "--periods", "7/2,5/3,1,1/2,1/3"])
+call(["reduce-class", "--model", "rational", "--ell", "4", "--coeffs", "1,-1,-1,0,0"])
+call(["manifold-info", "--model", "ruled", "--ell", "3"])
+report["coxeter_loaded"] = [
+    m for m in ("ruled_lattice.coxeter", "ruled_lattice.qsqrt2") if m in sys.modules
+]
+
+call(["lagrangian-system", "--model", "rational", "--ell", "5", "--periods", "3,1,1,1,1,1/2"])
+call(["coxeter-check", "--model", "ruled", "--ell", "4"])
+call(["coxeter-finite", "--system", "E8"])
+call(["coxeter-finite", "--model", "rational", "--ell", "5"])
+call(["crystal-check", "--system", "BE7"])
+call(["sw-check", "--k", "2", "--m", "1,1,1,1,1"])
+call(["sw-search", "--ell", "10", "--k-max", "4"])
+call(["extremal", "--k", "3", "--ell", "4"])
+call(["decompose-o12", "--matrix", "9,4,8;-4,-1,-4;8,4,7"])
+call(["describe", "--label", "CP2"])
+call(["describe", "--model", "ruled", "--ell", "3"])
+report["not_called"] = sorted(set(cli._COMMANDS) - called)
 
 # value types are Records: no cold call pulls in dataclasses (and inspect)
 HEAVY = ("dataclasses", "inspect")
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
-    cli.main(["describe", "--label", "CP2"])
-    cli.main(["decompose-o12", "--matrix", "9,4,8;-4,-1,-4;8,4,7"])
 report["heavy_after_calls"] = [m for m in HEAVY if m in sys.modules]
 
 # submodules first: once every name is resolved they are all imported anyway
@@ -459,6 +528,35 @@ print(json.dumps(report))
 """
 
 
+_COXETER_ONLY_PROBE = r"""
+import contextlib, io, sys
+
+from ruled_lattice import cli
+
+for argv in (["coxeter-finite", "--system", "BD7"], ["crystal-check", "--system", "BE7"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv + ["--json"])
+    sys.stdin = io.StringIO(out.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main([argv[0], "--input", "-", "--json"])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("ruled_lattice."))))
+"""
+
+
+def test_named_system_commands_load_coxeter_only():
+    proc = subprocess.run(
+        [sys.executable, "-c", _COXETER_ONLY_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "ruled_lattice.base",
+        "ruled_lattice.cli",
+        "ruled_lattice.coxeter",
+        "ruled_lattice.qsqrt2",
+    ]
+
+
 def _traced_cli_names() -> list[str]:
     """The keys of CLI_TRACED_CALLS, read from the benchmark's source."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
@@ -487,8 +585,11 @@ def test_cold_import_set():
     assert json.loads(proc.stdout) == {
         "package": [],
         "help_missing": [],
+        "rationals_loaded": {},
+        "failed_calls": [],
         "pair": [],
-        "rational_free": [],
+        "coxeter_loaded": [],
+        "not_called": [],
         "heavy_after_calls": [],
         "unresolved": [],
         "heavy_after_resolving": [],

@@ -23,7 +23,10 @@ def _decimal_sign(x: QSqrt2) -> int:
     bounded away from zero by far more than the decimal error, so the
     rounded sign is trustworthy.
     """
-    a, b = x.a, x.b
+    return _decimal_sign_of(x.a, x.b)
+
+
+def _decimal_sign_of(a: Fraction, b: Fraction) -> int:
     value = (
         Decimal(a.numerator) / Decimal(a.denominator)
         + Decimal(b.numerator) / Decimal(b.denominator) * _SQRT2_DECIMAL
@@ -111,3 +114,70 @@ def test_hash_respects_equality(x):
     assert hash(x) == hash(QSqrt2(x.a, x.b))
     if x.b == 0:
         assert hash(x) == hash(x.a)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a pair of Fractions
+
+coords = st.one_of(st.integers(-40, 40), rationals)
+pairs = st.tuples(coords, coords)
+
+
+def _ref(pair) -> tuple[Fraction, Fraction]:
+    return Fraction(pair[0]), Fraction(pair[1])
+
+
+def _ref_str(a: Fraction, b: Fraction) -> str:
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt2"
+    return f"{a} {'+' if b > 0 else '-'} {abs(b)}*sqrt2"
+
+
+def _coords(x: QSqrt2) -> tuple[Fraction, Fraction]:
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    return x.a, x.b
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(u, v):
+    x, y = QSqrt2(*u), QSqrt2(*v)
+    (a, b), (c, d) = _ref(u), _ref(v)
+    assert _coords(x) == (a, b)
+    assert _coords(x + y) == (a + c, b + d)
+    assert _coords(x - y) == (a - c, b - d)
+    assert _coords(x * y) == (a * c + 2 * b * d, a * d + b * c)
+    assert _coords(-x) == (-a, -b)
+    norm = c * c - 2 * d * d
+    if norm:
+        assert _coords(x / y) == ((a * c - 2 * b * d) / norm, (b * c - a * d) / norm)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert x.sign() == _decimal_sign_of(a, b)
+    assert (x == y) == ((a, b) == (c, d))
+    assert (x < y) == (_decimal_sign_of(c - a, d - b) > 0)
+    assert str(x) == _ref_str(a, b)
+    assert repr(x) == f"QSqrt2({a!r}, {b!r})"
+    assert x.is_integer() == (b == 0 and a.denominator == 1)
+
+
+@given(pairs, coords)
+def test_mixing_with_int_and_fraction_matches_fraction_pairs(u, n):
+    x = QSqrt2(*u)
+    a, b = _ref(u)
+    assert _coords(x + n) == _coords(n + x) == (a + n, b)
+    assert _coords(x - n) == (a - n, b)
+    assert _coords(n - x) == (n - a, -b)
+    assert _coords(x * n) == _coords(n * x) == (a * n, b * n)
+    if n:
+        assert _coords(x / n) == (a / n, b / n)
+    assert (x == n) == (n == x) == (b == 0 and a == n)
+    assert (x < n) == (_decimal_sign_of(a - n, b) < 0)
+    assert (x > n) == (_decimal_sign_of(a - n, b) > 0)
+    if b == 0:
+        assert hash(x) == hash(a)
+        assert x.to_fraction() == a and type(x.to_fraction()) is Fraction
+        if a.denominator == 1:
+            assert hash(x) == hash(int(a))

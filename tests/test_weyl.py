@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ruled_lattice.lattice import (
     HomologyClass,
+    LatticeAutomorphism,
     LatticeError,
     ModelMismatchError,
     exceptional_class,
@@ -86,6 +87,35 @@ def test_rational_presentation_matches_graph(l):
 def test_ruled_presentation_matches_graph(l):
     report = verify_presentation(generator_set(ruled_model(l, 1)))
     assert report.ok
+
+
+def _dense_order(m: LatticeAutomorphism, cap: int):
+    """Order by exact integer matrix powers, None above ``cap``."""
+    ident = LatticeAutomorphism.identity(m.model)
+    power = m
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = m @ power
+    return None
+
+
+@pytest.mark.parametrize(
+    "model",
+    [rational_model(l) for l in range(3, 10)] + [ruled_model(l, 1) for l in range(2, 10)],
+    ids=lambda m: f"{m.kind.value}{m.blowups}",
+)
+def test_presentation_orders_match_dense_matrix_powers(model):
+    # the sparse root-action orders against powers of the dense matrices;
+    # caps 3 and 4 sit on the orders that occur, so an off-by-one cap shows
+    gens = generator_set(model)
+    for cap in (3, 4, 16):
+        report = verify_presentation(gens, cap)
+        for e in report.entries:
+            product = reflection_along(gens.class_of(e.a)) @ reflection_along(
+                gens.class_of(e.b)
+            )
+            assert e.computed == _dense_order(product, cap), (e.a, e.b, cap)
 
 
 def test_expected_system_labels_and_orders():

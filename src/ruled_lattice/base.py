@@ -7,6 +7,8 @@ each is re-exported from its home module.  ``Record`` is the base of every
 value type in the package.  ``INF`` and the two rational helpers are here
 so that ``weyl`` and ``qsqrt2`` need neither ``coxeter`` nor ``fractions``
 (with ``decimal`` and ``numbers``) until a caller asks for a ``Fraction``.
+``is_int_text`` is the one integer-spelling rule of the command line and
+the period reader.
 """
 
 import sys
@@ -175,3 +177,13 @@ def rational_text(p: int, q: int) -> str:
     if g != q:
         return f"{p // g}/{q // g}"
     return str(p // g)
+
+
+def is_int_text(text: str) -> bool:
+    """Whether ``text`` is an optional sign then decimal digits, nothing else.
+
+    The same strings as ``re.fullmatch(r"[+-]?\\d+", text)`` (for ``str``
+    patterns ``\\d`` is Unicode category Nd, which is what ``isdecimal``
+    tests), each of which ``int`` reads, without compiling a regex.
+    """
+    return (text[1:] if text[:1] in ("+", "-") else text).isdecimal()

@@ -10,13 +10,12 @@ consistency failure.
 
 from __future__ import annotations
 
-import argparse
-import gc
 import json
-import re
+import os
 import sys
 from importlib import import_module
-from typing import Callable, Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .base import (
     CoxeterError,
@@ -25,7 +24,15 @@ from .base import (
     Record,
     SMALL_CASE_LABELS,
     SWError,
+    is_int_text,
 )
+
+if TYPE_CHECKING:
+    from argparse import Namespace
+
+    # the parsed flags, from argparse or the plain parser; read by attribute
+    # and vars() only
+    _Args = Namespace | SimpleNamespace
 
 # The library names the subcommands use, by home module.  A command names
 # the modules it needs and main binds their names into this module's globals
@@ -107,16 +114,44 @@ class UsageError(ValueError):
     """Bad flags or a malformed input payload; maps to exit code 1."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; 2 is taken by "candidates
-    # found", so usage problems are rerouted to 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 # ---------------------------------------------------------------------------
 # flag parsing
+
+
+class _Flag(Record):
+    """One option of a subcommand, read by the plain parser and by argparse.
+
+    ``kind`` is ``str``, ``int``, the tuple of accepted strings, or ``bool``
+    for a switch that takes no value; ``metavar`` None is argparse's default.
+    """
+
+    name: str
+    kind: object
+    metavar: Optional[str]
+    help: str
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+_MODEL_FLAGS = (
+    _Flag("--model", ("rational", "ruled"), None, "lattice model"),
+    _Flag("--ell", int, None, "number of exceptional classes"),
+    _Flag("--genus", int, None, "base genus (ruled only, default 1)"),
+)
+
+# every subcommand takes these after its own flags
+_COMMON_FLAGS = (
+    _Flag("--json", bool, None, "emit a JSON payload"),
+    _Flag(
+        "--input",
+        str,
+        "FILE",
+        "re-run the input of a previous --json payload ('-' for stdin)",
+    ),
+)
+
 
 def _split_list(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(",")]
@@ -128,19 +163,13 @@ def _split_list(text: str) -> list[str]:
 def parse_int_list(text: str) -> list[int]:
     out = []
     for piece in _split_list(text):
-        if not re.fullmatch(r"[+-]?\d+", piece):
+        if not is_int_text(piece):
             raise UsageError(f"expected comma-separated integers, got {text!r}")
         out.append(int(piece))
     return out
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("rational", "ruled"), help="lattice model")
-    p.add_argument("--ell", type=int, help="number of exceptional classes")
-    p.add_argument("--genus", type=int, help="base genus (ruled only, default 1)")
-
-
-def _model_dict(args: argparse.Namespace) -> dict:
+def _model_dict(args: _Args) -> dict:
     if args.model is None or args.ell is None:
         raise UsageError("--model and --ell are required (or use --input)")
     if args.model == "rational":
@@ -152,7 +181,7 @@ def _model_dict(args: argparse.Namespace) -> dict:
     return {"kind": args.model, "blowups": args.ell, "genus": genus}
 
 
-def _require(args: argparse.Namespace, dest: str, flag: str):
+def _require(args: _Args, dest: str, flag: str):
     value = getattr(args, dest)
     if value is None:
         raise UsageError(f"{flag} is required (or use --input)")
@@ -212,17 +241,13 @@ class _Outcome(Record):
 class _Command(Record):
     name: str
     help: str
-    configure: Callable[[argparse.ArgumentParser], None]
-    gather: Callable[[argparse.Namespace], dict]
+    flags: tuple[_Flag, ...]  # its own, before _COMMON_FLAGS
+    gather: Callable[[_Args], dict]
     run: Callable[[dict], _Outcome]
     modules: tuple[str, ...]  # library modules gather and run use
 
 
-def _conf_model_only(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-
-
-def _gather_model_only(args: argparse.Namespace) -> dict:
+def _gather_model_only(args: _Args) -> dict:
     return {"model": _model_dict(args)}
 
 
@@ -257,13 +282,13 @@ def _run_manifold_info(inp: dict) -> _Outcome:
     return _Outcome(result, tuple(lines))
 
 
-def _conf_pair(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--a", metavar="COEFFS", help="first class, comma-separated")
-    p.add_argument("--b", metavar="COEFFS", help="second class, comma-separated")
+_PAIR_FLAGS = _MODEL_FLAGS + (
+    _Flag("--a", str, "COEFFS", "first class, comma-separated"),
+    _Flag("--b", str, "COEFFS", "second class, comma-separated"),
+)
 
 
-def _gather_pair(args: argparse.Namespace) -> dict:
+def _gather_pair(args: _Args) -> dict:
     return {
         "model": _model_dict(args),
         "a": parse_int_list(_require(args, "a", "--a")),
@@ -290,13 +315,13 @@ def _run_pair(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
-def _conf_reflect(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--mirror", metavar="COEFFS", help="class defining the reflection")
-    p.add_argument("--target", metavar="COEFFS", help="class to reflect")
+_REFLECT_FLAGS = _MODEL_FLAGS + (
+    _Flag("--mirror", str, "COEFFS", "class defining the reflection"),
+    _Flag("--target", str, "COEFFS", "class to reflect"),
+)
 
 
-def _gather_reflect(args: argparse.Namespace) -> dict:
+def _gather_reflect(args: _Args) -> dict:
     return {
         "model": _model_dict(args),
         "mirror": parse_int_list(_require(args, "mirror", "--mirror")),
@@ -324,16 +349,14 @@ def _run_reflect(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
-def _conf_orbit(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--seed", metavar="COEFFS", help="starting class")
-    p.add_argument("--bound", type=int, help="coefficient bound for the BFS")
-    p.add_argument(
-        "--generators", metavar="NAMES", help="subset of generators, e.g. s0,s1"
-    )
+_ORBIT_FLAGS = _MODEL_FLAGS + (
+    _Flag("--seed", str, "COEFFS", "starting class"),
+    _Flag("--bound", int, None, "coefficient bound for the BFS"),
+    _Flag("--generators", str, "NAMES", "subset of generators, e.g. s0,s1"),
+)
 
 
-def _gather_orbit(args: argparse.Namespace) -> dict:
+def _gather_orbit(args: _Args) -> dict:
     inp = {
         "model": _model_dict(args),
         "seed": parse_int_list(_require(args, "seed", "--seed")),
@@ -371,16 +394,17 @@ def _run_orbit(inp: dict) -> _Outcome:
     return _Outcome(result, lines())
 
 
-def _conf_periods(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument(
+_PERIOD_FLAGS = _MODEL_FLAGS + (
+    _Flag(
         "--periods",
-        metavar="Q,Q,...",
-        help="exact rationals: rational model lam,mu1,..; ruled fib,sec,mu1,..",
-    )
+        str,
+        "Q,Q,...",
+        "exact rationals: rational model lam,mu1,..; ruled fib,sec,mu1,..",
+    ),
+)
 
 
-def _gather_periods(args: argparse.Namespace) -> dict:
+def _gather_periods(args: _Args) -> dict:
     model_d = _model_dict(args)
     # the library's reader and key table, so the flag accepts what an
     # --input payload does and only weyl knows the payload's shape
@@ -408,12 +432,12 @@ def _run_reduce_periods(inp: dict) -> _Outcome:
     return _Outcome(red.to_json_dict(), lines)
 
 
-def _conf_reduce_class(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument("--coeffs", metavar="COEFFS", help="square -1 class to reduce")
+_REDUCE_CLASS_FLAGS = _MODEL_FLAGS + (
+    _Flag("--coeffs", str, "COEFFS", "square -1 class to reduce"),
+)
 
 
-def _gather_reduce_class(args: argparse.Namespace) -> dict:
+def _gather_reduce_class(args: _Args) -> dict:
     return {
         "target": {
             "model": _model_dict(args),
@@ -463,10 +487,9 @@ def _run_coxeter_check(inp: dict) -> _Outcome:
     model = _get_model(inp)
     gens = generator_set(model)
     report = verify_presentation(gens)
-    system = expected_coxeter_system(model)
     result = report.to_json_dict()
-    result["system"] = system.to_json_dict()
-    lines = [f"system:   {system.label}"]
+    result["system"] = report.system.to_json_dict()
+    lines = [f"system:   {report.system.label}"]
     bad = [e for e in report.entries if not e.ok]
     if report.ok:
         lines.append(f"pairs:    {len(report.entries)} checked, all orders match")
@@ -479,14 +502,12 @@ def _run_coxeter_check(inp: dict) -> _Outcome:
     return _Outcome(result, tuple(lines), EXIT_OK if report.ok else EXIT_INTERNAL)
 
 
-def _conf_coxeter_finite(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument(
-        "--system", metavar="NAME", help="named system (E6..E9, BE6, BD5, L4-3-4-4, ..)"
-    )
+_COXETER_FINITE_FLAGS = _MODEL_FLAGS + (
+    _Flag("--system", str, "NAME", "named system (E6..E9, BE6, BD5, L4-3-4-4, ..)"),
+)
 
 
-def _gather_coxeter_finite(args: argparse.Namespace) -> dict:
+def _gather_coxeter_finite(args: _Args) -> dict:
     if args.system is not None:
         if args.model is not None or args.ell is not None or args.genus is not None:
             raise UsageError("pass --system or --model/--ell, not both")
@@ -522,16 +543,18 @@ def _run_coxeter_finite(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
-def _conf_crystal_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", metavar="NAME", help="named system")
-    p.add_argument(
+_CRYSTAL_CHECK_FLAGS = (
+    _Flag("--system", str, "NAME", "named system"),
+    _Flag(
         "--short",
-        metavar="NAMES",
-        help="generators kept at square -1 (default: the standard split)",
-    )
+        str,
+        "NAMES",
+        "generators kept at square -1 (default: the standard split)",
+    ),
+)
 
 
-def _gather_crystal_check(args: argparse.Namespace) -> dict:
+def _gather_crystal_check(args: _Args) -> dict:
     name = _require(args, "system", "--system")
     if args.short is None:
         struct = standard_crystal(name)
@@ -587,12 +610,13 @@ _VERDICT_TEXT = {
 }
 
 
-def _conf_sw_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="degree against the line class")
-    p.add_argument("--m", metavar="INTS", help="multiplicities, comma-separated")
+_SW_CHECK_FLAGS = (
+    _Flag("--k", int, None, "degree against the line class"),
+    _Flag("--m", str, "INTS", "multiplicities, comma-separated"),
+)
 
 
-def _gather_sw_check(args: argparse.Namespace) -> dict:
+def _gather_sw_check(args: _Args) -> dict:
     return {
         "k": _require(args, "k", "--k"),
         "m": parse_int_list(_require(args, "m", "--m")),
@@ -627,12 +651,13 @@ def _run_sw_check(inp: dict) -> _Outcome:
     return _Outcome(result, tuple(lines), code)
 
 
-def _conf_sw_search(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ell", type=int, help="number of exceptional classes")
-    p.add_argument("--k-max", type=int, help="largest degree to scan")
+_SW_SEARCH_FLAGS = (
+    _Flag("--ell", int, None, "number of exceptional classes"),
+    _Flag("--k-max", int, None, "largest degree to scan"),
+)
 
 
-def _gather_sw_search(args: argparse.Namespace) -> dict:
+def _gather_sw_search(args: _Args) -> dict:
     return {
         "blowups": _require(args, "ell", "--ell"),
         "k_max": _require(args, "k_max", "--k-max"),
@@ -657,12 +682,13 @@ def _run_sw_search(inp: dict) -> _Outcome:
     return _Outcome(result, tuple(lines), code)
 
 
-def _conf_extremal(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="degree against the line class")
-    p.add_argument("--ell", type=int, help="number of exceptional classes")
+_EXTREMAL_FLAGS = (
+    _Flag("--k", int, None, "degree against the line class"),
+    _Flag("--ell", int, None, "number of exceptional classes"),
+)
 
 
-def _gather_extremal(args: argparse.Namespace) -> dict:
+def _gather_extremal(args: _Args) -> dict:
     return {
         "k": _require(args, "k", "--k"),
         "blowups": _require(args, "ell", "--ell"),
@@ -687,15 +713,17 @@ def _run_extremal(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
-def _conf_decompose(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+_DECOMPOSE_FLAGS = (
+    _Flag(
         "--matrix",
-        metavar="ROWS",
-        help="3x3 integer matrix, rows ; separated: a,b,c;d,e,f;g,h,i",
-    )
+        str,
+        "ROWS",
+        "3x3 integer matrix, rows ; separated: a,b,c;d,e,f;g,h,i",
+    ),
+)
 
 
-def _gather_decompose(args: argparse.Namespace) -> dict:
+def _gather_decompose(args: _Args) -> dict:
     rows = [
         parse_int_list(row) for row in _require(args, "matrix", "--matrix").split(";")
     ]
@@ -719,16 +747,17 @@ def _run_decompose(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
-def _conf_describe(p: argparse.ArgumentParser) -> None:
-    _add_model_flags(p)
-    p.add_argument(
+_DESCRIBE_FLAGS = _MODEL_FLAGS + (
+    _Flag(
         "--label",
-        metavar="NAME",
-        help=f"small-case label, one of: {', '.join(SMALL_CASE_LABELS)}",
-    )
+        str,
+        "NAME",
+        f"small-case label, one of: {', '.join(SMALL_CASE_LABELS)}",
+    ),
+)
 
 
-def _gather_describe(args: argparse.Namespace) -> dict:
+def _gather_describe(args: _Args) -> dict:
     if args.label is not None:
         if args.model is not None or args.ell is not None or args.genus is not None:
             raise UsageError("pass --label or --model/--ell, not both")
@@ -758,7 +787,7 @@ _COMMANDS = {
         _Command(
             "manifold-info",
             "basis, intersection form and generators of a model",
-            _conf_model_only,
+            _MODEL_FLAGS,
             _gather_model_only,
             _run_manifold_info,
             ("lattice", "weyl"),
@@ -766,7 +795,7 @@ _COMMANDS = {
         _Command(
             "pair",
             "intersection pairing of two classes",
-            _conf_pair,
+            _PAIR_FLAGS,
             _gather_pair,
             _run_pair,
             ("lattice",),
@@ -774,7 +803,7 @@ _COMMANDS = {
         _Command(
             "reflect",
             "reflect a class along a square -1 or -2 class",
-            _conf_reflect,
+            _REFLECT_FLAGS,
             _gather_reflect,
             _run_reflect,
             ("lattice",),
@@ -782,7 +811,7 @@ _COMMANDS = {
         _Command(
             "orbit",
             "bounded breadth-first orbit of a class",
-            _conf_orbit,
+            _ORBIT_FLAGS,
             _gather_orbit,
             _run_orbit,
             ("lattice", "weyl"),
@@ -790,7 +819,7 @@ _COMMANDS = {
         _Command(
             "reduce-periods",
             "move a period vector into the fundamental domain",
-            _conf_periods,
+            _PERIOD_FLAGS,
             _gather_periods,
             _run_reduce_periods,
             ("weyl",),
@@ -798,7 +827,7 @@ _COMMANDS = {
         _Command(
             "reduce-class",
             "move a square -1 class onto the last exceptional class",
-            _conf_reduce_class,
+            _REDUCE_CLASS_FLAGS,
             _gather_reduce_class,
             _run_reduce_class,
             ("lattice", "weyl"),
@@ -806,7 +835,7 @@ _COMMANDS = {
         _Command(
             "lagrangian-system",
             "zero-period wall classes of a reduced vector, with their type",
-            _conf_periods,
+            _PERIOD_FLAGS,
             _gather_periods,
             _run_lagrangian,
             ("weyl",),
@@ -814,7 +843,7 @@ _COMMANDS = {
         _Command(
             "coxeter-check",
             "verify the generator product orders against the expected graph",
-            _conf_model_only,
+            _MODEL_FLAGS,
             _gather_model_only,
             _run_coxeter_check,
             ("lattice", "weyl"),
@@ -822,7 +851,7 @@ _COMMANDS = {
         _Command(
             "coxeter-finite",
             "finite or infinite, by exact leading minors",
-            _conf_coxeter_finite,
+            _COXETER_FINITE_FLAGS,
             _gather_coxeter_finite,
             _run_coxeter_finite,
             ("coxeter",),
@@ -830,7 +859,7 @@ _COMMANDS = {
         _Command(
             "crystal-check",
             "short/long split preserves the integer lattice (two routes)",
-            _conf_crystal_check,
+            _CRYSTAL_CHECK_FLAGS,
             _gather_crystal_check,
             _run_crystal_check,
             ("coxeter",),
@@ -838,7 +867,7 @@ _COMMANDS = {
         _Command(
             "sw-check",
             "certify a candidate sphere class",
-            _conf_sw_check,
+            _SW_CHECK_FLAGS,
             _gather_sw_check,
             _run_sw_check,
             ("sw",),
@@ -846,7 +875,7 @@ _COMMANDS = {
         _Command(
             "sw-search",
             "scan for irreducible candidates; exit 2 when any are found",
-            _conf_sw_search,
+            _SW_SEARCH_FLAGS,
             _gather_sw_search,
             _run_sw_search,
             ("sw",),
@@ -854,7 +883,7 @@ _COMMANDS = {
         _Command(
             "extremal",
             "multiplicity vector maximizing the square at fixed degree",
-            _conf_extremal,
+            _EXTREMAL_FLAGS,
             _gather_extremal,
             _run_extremal,
             ("sw",),
@@ -862,7 +891,7 @@ _COMMANDS = {
         _Command(
             "decompose-o12",
             "write a form- and cone-preserving 3x3 matrix as a generator word",
-            _conf_decompose,
+            _DECOMPOSE_FLAGS,
             _gather_decompose,
             _run_decompose,
             ("catalog", "lattice"),
@@ -870,7 +899,7 @@ _COMMANDS = {
         _Command(
             "describe",
             "structure of the cone-preserving diffeotopy image",
-            _conf_describe,
+            _DESCRIBE_FLAGS,
             _gather_describe,
             _run_describe,
             ("catalog", "lattice"),
@@ -878,10 +907,10 @@ _COMMANDS = {
     )
 }
 
-_COMMON_DESTS = {"subcommand", "json", "input"}
+_COMMON_DESTS = {"subcommand", *(f.dest for f in _COMMON_FLAGS)}
 
 
-def _direct_flags_given(args: argparse.Namespace) -> bool:
+def _direct_flags_given(args: _Args) -> bool:
     return any(
         value is not None
         for key, value in vars(args).items()
@@ -909,12 +938,66 @@ def _load_input(path: str) -> dict:
     return data
 
 
-def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or only the one named.
+def _parse_plain(cmd: _Command, words: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds for ``[cmd.name, *words]``, or None.
+
+    Reads only exact ``--flag=value``, ``--flag value`` and ``--switch``
+    words of the command's table.  Anything argparse could read otherwise or
+    reject returns None: another word (an abbreviation, "--", "-h", a stray
+    value), a repeated flag, a missing value, a separate value starting with
+    "-" (other than "-" itself), the value "--", a failed ``int`` or a value
+    outside the choices.  Then argparse parses the words itself.
+    """
+    flags = {f.name: f for f in cmd.flags + _COMMON_FLAGS}
+    values = {f.dest: False if f.kind is bool else None for f in flags.values()}
+    values["subcommand"] = cmd.name
+    given = set()
+    rest = iter(words)
+    for word in rest:
+        name, eq, value = word.partition("=")
+        flag = flags.get(name)
+        if flag is None or name in given:
+            return None
+        given.add(name)
+        if flag.kind is bool:
+            if eq:
+                return None
+            values[flag.dest] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                return None
+        elif value == "--":  # argparse drops a "--" value, leaving none
+            return None
+        if flag.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif flag.kind is not str and value not in flag.kind:
+            return None
+        values[flag.dest] = value
+    return SimpleNamespace(**values)
+
+
+def build_parser(subcommand: Optional[str] = None):
+    """The argparse parser, with every subcommand or only the one named.
 
     An argv whose first word is a subcommand parses, and fails, identically
     under both, and one subparser takes about a tenth of the time of fifteen.
+    ``argparse`` is imported here, so a call the plain parser reads never
+    loads it (nor ``gettext`` and ``locale``, which argparse's messages use).
     """
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad flags; 2 is taken by "candidates
+        # found", so usage problems are rerouted to 1.
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _ArgumentParser(
         prog="ruled-lattice",
         description="intersection lattices, reflection groups and sphere-class "
@@ -928,25 +1011,30 @@ def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
         if subcommand not in (None, cmd.name):
             continue
         p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
-        cmd.configure(p)
-        p.add_argument("--json", action="store_true", help="emit a JSON payload")
-        p.add_argument(
-            "--input",
-            metavar="FILE",
-            help="re-run the input of a previous --json payload ('-' for stdin)",
-        )
+        for flag in cmd.flags + _COMMON_FLAGS:
+            if flag.kind is bool:
+                p.add_argument(flag.name, action="store_true", help=flag.help)
+                continue
+            kwargs = {"metavar": flag.metavar, "help": flag.help}
+            if flag.kind is int:
+                kwargs["type"] = int
+            elif flag.kind is not str:
+                kwargs["choices"] = flag.kind
+            p.add_argument(flag.name, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # help, a missing or unknown subcommand, a flag first: every choice is listed
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = build_parser(named).parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and flag errors itself
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cmd = _COMMANDS[args.subcommand]
+    cmd = _COMMANDS.get(argv[0]) if argv else None
+    args = _parse_plain(cmd, argv[1:]) if cmd is not None else None
+    if args is None:
+        # help, a missing or unknown subcommand, a flag first: every choice is listed
+        try:
+            args = build_parser(cmd.name if cmd else None).parse_args(argv)
+        except SystemExit as exc:  # argparse handles --help and flag errors itself
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        cmd = _COMMANDS[args.subcommand]
     _bind(cmd.modules)
     try:
         if args.input is not None:
@@ -973,17 +1061,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return outcome.code
 
 
-def run() -> None:
-    """The process entry point: ``main()``, then exit without a heap walk.
+def _observed() -> bool:
+    """Whether a profiler, tracer or debugger watches this process."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # PEP 669, Python 3.12+
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
 
-    ``gc.freeze()`` moves every live object into the permanent generation,
-    which the collection run at interpreter shutdown skips; the process
-    ends right after, so nothing is left to collect.  ``main()`` itself
-    leaves the collector alone, for callers that keep running.
+
+def run() -> None:
+    """The process entry point: ``main()``, then exit without interpreter teardown.
+
+    Once stdout and stderr are flushed teardown has nothing left to do for
+    this program (it registers no atexit handler), so ``os._exit`` ends the
+    process at once.  When a flush fails (stdout is a closed pipe) the exit
+    goes through ``sys.exit``, whose teardown reports it as it always has.
+    So does every exit under a profiler, tracer or debugger (``python -m
+    cProfile -m ruled_lattice.cli``, ``coverage run``), which writes its
+    results after the program returns.  A wrapper that does its exit work
+    some other way (an ``atexit`` handler of its own) calls ``main()``,
+    which has no such side effect, like every caller that keeps running.
     """
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    if _observed():
+        sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

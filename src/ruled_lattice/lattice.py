@@ -129,6 +129,11 @@ def _check_int_coeffs(coeffs: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_length(model: ManifoldModel, coeffs: Sequence) -> None:
+    if len(coeffs) != model.rank:
+        raise LatticeError(f"expected {model.rank} coefficients, got {len(coeffs)}")
+
+
 class HomologyClass(Record):
     """An integral second homology class in a fixed model and basis.
 
@@ -141,10 +146,7 @@ class HomologyClass(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _check_int_coeffs(self.coeffs))
-        if len(self.coeffs) != self.model.rank:
-            raise LatticeError(
-                f"expected {self.model.rank} coefficients, got {len(self.coeffs)}"
-            )
+        _check_length(self.model, self.coeffs)
 
     def __str__(self) -> str:
         names = self.model.basis_names
@@ -245,10 +247,15 @@ class LatticeAutomorphism(Record):
 
     def apply(self, c: HomologyClass) -> HomologyClass:
         _same_model(self, c)
-        return HomologyClass._trusted(self.model, self.apply_coeffs(c.coeffs))
+        return HomologyClass._trusted(self.model, self._product(c.coeffs))
 
     def apply_coeffs(self, coeffs: Sequence) -> tuple:
         """Matrix-vector product; accepts integer or Fraction entries."""
+        _check_length(self.model, coeffs)
+        return self._product(coeffs)
+
+    def _product(self, coeffs: Sequence) -> tuple:
+        # apply_coeffs without the length check, for callers that made it
         return tuple(
             sum(m_ij * c_j for m_ij, c_j in zip(row, coeffs)) for row in self.matrix
         )
@@ -284,9 +291,9 @@ class LatticeAutomorphism(Record):
         vector: L in the rational model, Y + F in the ruled one.
         """
         if self.model.kind is Kind.RATIONAL:
-            image = self.apply_coeffs((1,) + (0,) * (self.model.rank - 1))
+            image = self._product((1,) + (0,) * (self.model.rank - 1))
         else:
-            image = self.apply_coeffs((1, 1) + (0,) * (self.model.rank - 2))
+            image = self._product((1, 1) + (0,) * (self.model.rank - 2))
         return image[0] > 0
 
     def inverse(self) -> "LatticeAutomorphism":

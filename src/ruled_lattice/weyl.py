@@ -19,13 +19,19 @@ routines return words that transport their input to the output.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .base import INF, InternalConsistencyError, Record, is_fraction, rational_text
+from .base import (
+    INF,
+    InternalConsistencyError,
+    Record,
+    is_fraction,
+    is_int_text,
+    rational_text,
+)
 from .lattice import (
     HomologyClass,
     Kind,
@@ -35,6 +41,7 @@ from .lattice import (
     ModelMismatchError,
     RootAction,
     _check_int_coeffs,
+    _check_length,
     _pair_coeffs,
     adjacent_difference,
     exceptional_class,
@@ -149,8 +156,9 @@ class GroupWord(Record):
 
     def apply_to_coeffs(self, gens: GeneratorSet, coeffs: Sequence) -> tuple:
         out = tuple(coeffs)
+        _check_length(gens.model, out)
         for letter in self.letters:
-            out = gens.automorphism(letter).apply_coeffs(out)
+            out = gens.automorphism(letter)._product(out)
         return out
 
     def __add__(self, other: "GroupWord") -> "GroupWord":
@@ -234,6 +242,7 @@ class PresentationEntry(Record):
 class PresentationReport(Record):
     model: ManifoldModel
     entries: tuple[PresentationEntry, ...]
+    system: CoxeterSystem  # the asserted graph the entries were checked against
 
     @property
     def ok(self) -> bool:
@@ -272,7 +281,7 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
                 gens.root_action(b), gens.root_action(a), rank, cap
             )
             entries.append(PresentationEntry(a, b, expected.order(a, b), computed))
-    return PresentationReport(gens.model, tuple(entries))
+    return PresentationReport(gens.model, tuple(entries), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +338,6 @@ def orbit(
 # period vectors
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?\d+(/\d+)?")
-
-
 def read_period(x) -> tuple[int, int]:
     """One exact period as (numerator, denominator > 0) in lowest terms.
 
@@ -342,13 +348,15 @@ def read_period(x) -> tuple[int, int]:
         raise LatticeError("periods must be exact rationals")
     if isinstance(x, int) or is_fraction(x):
         return x.numerator, x.denominator
-    if isinstance(x, str) and _RATIONAL_TEXT.fullmatch(x):
-        num, _, den = x.partition("/")
-        p, q = int(num), int(den or 1)
-        if q == 0:
-            raise LatticeError(f"period {x!r} has a zero denominator")
-        g = gcd(p, q)
-        return p // g, q // g
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        # p or p/q: a signed integer, then optionally "/" and unsigned digits
+        if is_int_text(num) and (not slash or den.isdecimal()):
+            p, q = int(num), int(den or 1)
+            if q == 0:
+                raise LatticeError(f"period {x!r} has a zero denominator")
+            g = gcd(p, q)
+            return p // g, q // g
     raise LatticeError(f"periods must be exact rationals, got {x!r}")
 
 
@@ -397,10 +405,7 @@ class PeriodVector(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _check_int_coeffs(self.coeffs))
-        if len(self.coeffs) != self.model.rank:
-            raise LatticeError(
-                f"expected {self.model.rank} coefficients, got {len(self.coeffs)}"
-            )
+        _check_length(self.model, self.coeffs)
         d = self.denominator
         if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise LatticeError(f"the denominator must be a positive integer, got {d!r}")
@@ -432,8 +437,7 @@ class PeriodVector(Record):
         cls, model: ManifoldModel, coeffs: Sequence
     ) -> "PeriodVector":
         coeffs = tuple(coeffs)
-        if len(coeffs) != model.rank:
-            raise LatticeError(f"expected {model.rank} coefficients, got {len(coeffs)}")
+        _check_length(model, coeffs)
         h = len(_HEAD_KEYS[model.kind])
         return _periods(model, coeffs[:h], coeffs[h:], sign=1)
 

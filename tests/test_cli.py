@@ -1,20 +1,26 @@
 """Command-line interface: contracts, exit codes, JSON round-trips."""
 
 import ast
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruled_lattice.cli import (
     _COMMANDS,
+    _COMMON_FLAGS,
     EXIT_FOUND,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    _parse_plain,
     build_parser,
     main,
 )
@@ -141,6 +147,145 @@ def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(list(argv))
     assert got == (exc.value.code, *capsys.readouterr())
+
+
+# ---------------------------------------------------------------------------
+# the plain parser: argparse's namespace for well-formed argv, else None
+
+
+def _argparse_reading(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _check_plain_parser(argv) -> bool:
+    """The plain parser agrees with argparse wherever it reads ``argv``."""
+    plain = _parse_plain(_COMMANDS[argv[0]], argv[1:])
+    expected = _argparse_reading(argv)
+    if plain is None:
+        return False
+    assert vars(plain) == expected, argv
+    return True
+
+
+# one well-formed call per subcommand, each flag once
+WELL_FORMED = [
+    ["manifold-info", "--model=ruled", "--ell=3", "--genus=2"],
+    ["pair", "--model=rational", "--ell=3", "--a=1,-1,0,0", "--b=0,1,0,0"],
+    ["reflect", "--model=ruled", "--ell=2", "--mirror=0,0,1,0", "--target=1,0,0,0"],
+    ["orbit", "--model=rational", "--ell=3", "--seed=0,0,0,1", "--bound=2", "--generators=s1,s2"],
+    ["reduce-periods", "--model=ruled", "--ell=3", "--periods=7/2,5/3,1,1/2,1/3"],
+    ["reduce-class", "--model=rational", "--ell=4", "--coeffs=1,-1,-1,0,0"],
+    ["lagrangian-system", "--model=rational", "--ell=5", "--periods=3,1,1,1,1,1"],
+    ["coxeter-check", "--model=ruled", "--ell=4"],
+    ["coxeter-finite", "--system=L4-3-4-4"],
+    ["crystal-check", "--system=BE7", "--short=s6"],
+    ["sw-check", "--k=2", "--m=1,1,1,1,1"],
+    ["sw-search", "--ell=10", "--k-max=4"],
+    ["extremal", "--k=3", "--ell=+4"],
+    ["decompose-o12", "--matrix=9,4,8;-4,-1,-4;8,4,7"],
+    ["describe", "--label=CP2"],
+]
+
+
+def _separated(argv):
+    """The same call with each value in its own word."""
+    return [argv[0]] + [w for word in argv[1:] for w in word.split("=", 1)]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda a: a[0])
+def test_plain_parser_reads_well_formed_calls(argv):
+    assert {c[0] for c in WELL_FORMED} == set(_COMMANDS)
+    for call in (argv, _separated(argv), argv + ["--json"], [argv[0], "--input", "-", "--json"]):
+        assert _check_plain_parser(call), call
+    assert _check_plain_parser([argv[0], "--input=payload.json"])
+    assert _check_plain_parser([argv[0]])
+
+
+# each is a word, or two, that argparse reads differently or refuses
+NOT_PLAIN = [
+    ["--mod=rational"],  # an abbreviation
+    ["--ell=3", "--ell=3"],  # a repeat
+    ["--ell", "-3"],  # a separate value starting with "-"
+    ["--a", "--b"],
+    ["--a=--"],  # argparse drops this value
+    ["--ell"],  # a missing value
+    ["--"],
+    ["-h"],
+    ["--help"],
+    ["stray"],
+    ["-"],
+    ["--ell=x"],  # a failed int()
+    ["--ell= x"],
+    ["--model=elliptic"],  # outside the choices
+    ["--model", "Rational"],
+    ["--json=1"],  # a switch with a value
+    ["--json", "--json"],
+    ["--input", "-", "--input", "-"],
+]
+
+
+@pytest.mark.parametrize("words", NOT_PLAIN, ids=" ".join)
+def test_plain_parser_leaves_the_rest_to_argparse(words):
+    for cmd in _COMMANDS.values():
+        assert _parse_plain(cmd, words) is None
+
+
+def test_plain_parser_reads_a_joined_negative_value():
+    # a value starting with "-" is read only when joined to its flag
+    assert _check_plain_parser(["sw-search", "--ell=-3", "--k-max=-1"])
+    assert _parse_plain(_COMMANDS["sw-search"], ["--ell", "-3"]) is None
+
+
+_ODD_VALUES = ["", "-", "--", "-h", "-5", " 7", "7 ", "+3", "0x1", "1_0", "٣", "x", "a=b"]
+
+
+def _flag_words(flag):
+    """One flag with a value: joined by "=" or in the next word, mostly valid."""
+    if flag.kind is bool:
+        return st.sampled_from([[flag.name], [flag.name + "=1"]])
+    if flag.kind is int:
+        valid = st.integers(-30, 30).map(str)
+    elif flag.kind is str:
+        valid = st.one_of(st.sampled_from(["1,0,-1", "-1,0", "3/2", "E8", "CP2"]), st.text(max_size=3))
+    else:
+        valid = st.sampled_from(flag.kind)
+    return st.builds(
+        lambda joined, value: [f"{flag.name}={value}"] if joined else [flag.name, value],
+        st.booleans(),
+        st.one_of(valid, valid, st.sampled_from(_ODD_VALUES)),
+    )
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of its flags, now and then with a word no
+    table has: an abbreviation, a repeat, "--", "-h", a stray value."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    table = _COMMANDS[name].flags + _COMMON_FLAGS
+    words = []
+    for flag in draw(st.lists(st.sampled_from(table), unique=True, max_size=4)):
+        words += draw(_flag_words(flag))
+    if draw(st.integers(0, 3)) == 0:
+        odd = [f.name[:-1] for f in table if len(f.name) > 3] + words
+        odd += ["--", "-", "-h", "--help", "-5", "stray", "", "--bogus"]
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(odd)))
+    return [name] + words
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_plain_parser_agrees_with_argparse(argv):
+    plain = _parse_plain(_COMMANDS[argv[0]], argv[1:])
+    expected = _argparse_reading(argv)
+    if plain is not None:
+        assert vars(plain) == expected
+    if expected is None:
+        assert plain is None
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +521,8 @@ def test_reduce_class_not_in_orbit_stays_zero(capsys):
 
 
 def test_main_leaves_the_collector_alone(capsys):
-    # only run(), the process entry, freezes the heap; in-process callers
-    # (tests, the traced benchmark) keep a collector that sees every object
+    # main has no process-wide side effect; in-process callers (tests, the
+    # traced benchmark) keep a collector that sees every object
     before = (gc.isenabled(), gc.get_freeze_count())
     run(capsys, "pair", "--model", "rational", "--ell", "3", "--a", "1,0,0,0", "--b", "0,1,0,0")
     run(capsys, "pair", "--bogus")
@@ -385,24 +530,119 @@ def test_main_leaves_the_collector_alone(capsys):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
+# block-buffered stdout and stderr, as for any program writing to a pipe, so
+# that output run() failed to flush would be lost
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, err_start",
     [
-        (["coxeter-check", "--model", "rational", "--ell", "6", "--json"], EXIT_OK),
-        (["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "1.5,1,1,1"], EXIT_USAGE),
-        (["sw-search", "--ell", "11", "--k-max", "12", "--json"], EXIT_FOUND),
+        (["coxeter-check", "--model", "rational", "--ell", "6", "--json"], EXIT_OK, None),
+        (
+            ["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "1.5,1,1,1"],
+            EXIT_USAGE,
+            "error: ",
+        ),
+        (["sw-search", "--ell", "11", "--k-max", "12", "--json"], EXIT_FOUND, None),
+        # 121 kB of JSON, more than a pipe holds
+        (
+            ["orbit", "--model=rational", "--ell=5", "--seed=0,0,0,0,0,1", "--bound=3", "--json"],
+            EXIT_OK,
+            None,
+        ),
+        (["pair", "--bogus"], EXIT_USAGE, "usage: "),
     ],
-    ids=("pass", "usage-error", "found"),
+    ids=("pass", "usage-error", "found", "large-output", "argparse-error"),
 )
-def test_module_entry_exits_with_complete_output(capsys, argv, expected):
+def test_module_entry_exits_with_complete_output(capsys, argv, expected, err_start):
     # the process entry (run) keeps main's exit code and flushes all of stdout
+    # and stderr before it leaves through os._exit
     code, out, err = run(capsys, *argv)
     assert code == expected
-    assert out if expected != EXIT_USAGE else err.startswith("error: ")
+    assert out if err_start is None else err.startswith(err_start)
     proc = subprocess.run(
-        [sys.executable, "-m", "ruled_lattice.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "ruled_lattice.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_BUFFERED_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# a coxeter-check whose first pair order is misreported, so that it exits 3
+_MISREPORTED = """
+from ruled_lattice import cli, weyl
+
+
+def misreported(gens):
+    report = weyl.verify_presentation(gens)
+    first = report.entries[0]
+    wrong = weyl.PresentationEntry(first.a, first.b, first.expected, 99)
+    return weyl.PresentationReport(report.model, (wrong,) + report.entries[1:], report.system)
+"""
+
+
+def test_module_entry_exits_three_with_complete_output(capsys, monkeypatch):
+    argv = ["coxeter-check", "--model=ruled", "--ell=6", "--json"]
+    double: dict = {}
+    exec(_MISREPORTED, double)
+    monkeypatch.setattr("ruled_lattice.cli.verify_presentation", double["misreported"])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_INTERNAL, "")
+    assert json.loads(out)["result"]["ok"] is False
+    script = _MISREPORTED + "cli.verify_presentation = misreported\ncli.run()\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_BUFFERED_ENV
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_module_entry_under_a_profiler_exits_through_teardown(capsys):
+    # cProfile prints its statistics after the program returns; os._exit
+    # would leave before it.  Without a profiler run() takes the fast exit.
+    argv = ["pair", "--model=rational", "--ell=3", "--a=1,0,0,0", "--b=0,1,0,0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "ruled_lattice.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_BUFFERED_ENV,
+    )
+    assert proc.stdout.startswith(out)
+    assert "function calls" in proc.stdout[len(out):]
+    plain = subprocess.run(
+        [sys.executable, "-c", "from ruled_lattice import cli; print(cli._observed())"],
+        capture_output=True,
+        text=True,
+    )
+    assert plain.stdout == "False\n"
+
+
+def _closed_pipe_call(*argv):
+    """Exit code and stderr of ``python *argv`` writing to a pipe nobody reads."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv], stdout=write, stderr=subprocess.PIPE, env=_BUFFERED_ENV
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_pipe_exits_like_before():
+    # run()'s flush fails, so it leaves through sys.exit, whose teardown
+    # reports the broken pipe with exit 120 exactly as for any Python program
+    # (and as when run() ended in sys.exit alone)
+    got = _closed_pipe_call(
+        "-m", "ruled_lattice.cli", "pair", "--model=rational", "--ell=3",
+        "--a=1,0,0,0", "--b=0,1,0,0", "--json",
+    )
+    assert got == _closed_pipe_call("-c", "print('{}')")
+    assert got[0] == 120 and b"BrokenPipeError" in got[1]
 
 
 def test_installed_script_runs():
@@ -419,7 +659,19 @@ def test_installed_script_runs():
 # cold import set: each subcommand loads only the modules it uses
 
 _COLD_IMPORT_PROBE = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, re, sys
+
+# every pattern compiled from here on, by the package or a module it loads
+compiled = []
+compile_pattern = re._compile
+
+
+def recording_compile(pattern, flags):
+    compiled.append(str(pattern))
+    return compile_pattern(pattern, flags)
+
+
+re._compile = recording_compile
 
 import ruled_lattice
 
@@ -427,11 +679,6 @@ report = {"package": sorted(m for m in sys.modules if m.startswith("ruled_lattic
 
 from ruled_lattice import cli
 from ruled_lattice.base import SMALL_CASE_LABELS
-
-help_text = io.StringIO()
-with contextlib.redirect_stdout(help_text):
-    cli.main(["describe", "--help"])
-report["help_missing"] = [l for l in SMALL_CASE_LABELS if l not in help_text.getvalue()]
 
 RATIONALS = ("fractions", "decimal", "numbers")
 report["rationals_loaded"] = {}
@@ -524,6 +771,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["reduce-periods", "--model", "rational", "--ell", "3", "--periods", "6,3,2,1"])
     cli.main(["coxeter-finite", "--system", "E8"])
 report["wrapper_calls"] = calls
+
+# every call above took the plain parser: argparse (with gettext and
+# locale) loads only for help and errors, and no regex was compiled
+report["parser_modules"] = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+report["regexes_compiled"] = sorted(set(compiled))
+help_text = io.StringIO()
+with contextlib.redirect_stdout(help_text):
+    cli.main(["describe", "--help"])
+report["help_missing"] = [l for l in SMALL_CASE_LABELS if l not in help_text.getvalue()]
 print(json.dumps(report))
 """
 
@@ -595,4 +851,6 @@ def test_cold_import_set():
         "heavy_after_resolving": [],
         "traced_unresolved": [],
         "wrapper_calls": {"reduce_periods": 1, "is_finite_type": 1, "gram_determinant": 1},
+        "parser_modules": [],
+        "regexes_compiled": [],
     }

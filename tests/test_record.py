@@ -37,7 +37,7 @@ def _samples() -> dict:
         weyl.GeneratorSet: (gens.model, gens.names, gens.classes),
         weyl.GroupWord: (("s0", "s1"),),
         weyl.PresentationEntry: ("s0", "s1", coxeter.INF, None),
-        weyl.PresentationReport: (model, (entry,)),
+        weyl.PresentationReport: (model, (entry,), a2),
         weyl.OrbitResult: (model, frozenset({(1, 0, 0, -1)}), False),
         weyl.PeriodVector: (ruled_model(2), (6, 4, -3, -3), 2),
         weyl.PeriodReduction: (periods, word, ("s1",)),
@@ -60,6 +60,7 @@ def _samples() -> dict:
         catalog.GroupDescription: ("Symp", z2, ("a note",)),
         cli._Outcome: ({"ok": True}, ("ok",), cli.EXIT_FOUND),
         cli._Command: ("name", "help", print, print, print, ("lattice",)),
+        cli._Flag: ("--ell", int, None, "number of exceptional classes"),
     }
 
 

@@ -81,6 +81,8 @@ def test_rational_presentation_matches_graph(l):
     report = verify_presentation(generator_set(rational_model(l)))
     assert report.ok
     assert all(e.ok for e in report.entries)
+    # the report carries the graph its entries were checked against
+    assert report.system == expected_coxeter_system(rational_model(l))
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -171,6 +173,17 @@ def test_word_matches_matrix_evaluation():
     m = w.evaluate(g)
     coeffs = (0, 1, -1, 2)
     assert w.apply_to_coeffs(g, coeffs) == m.apply_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (1, 0, 0, 0, 0, 7), ()])
+@pytest.mark.parametrize("letters", [("s0", "s1"), ()])
+def test_replay_refuses_a_vector_of_the_wrong_length(coeffs, letters):
+    # a dense product over zip would drop the extra entries or the missing rows
+    g = generator_set(R3)
+    with pytest.raises(LatticeError, match="expected 4 coefficients"):
+        GroupWord(letters).apply_to_coeffs(g, coeffs)
+    with pytest.raises(LatticeError, match="expected 4 coefficients"):
+        g.automorphism("s0").apply_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +307,40 @@ def test_period_vector_validation():
             rational_periods(3, 5, (text, 1, 1))
         with pytest.raises(LatticeError, match="exact rationals"):
             ruled_periods(2, text, 3, (1, 1))
+
+
+# strings the old patterns were written for, and the edges of what they took
+_NUMBER_TEXTS = [
+    "", "+", "-", "+-1", "--1", "1", "+1", "-1", "007", " 1", "1 ", "1\n", "1/0",
+    "0.1", "1e0", "1_0", "0x1", "1/2", "-3/4", "+3/04", "3/-4", "3/+4", "1/", "/2",
+    "1/2/3", "١٢", "-٣/٤", "²", "Ⅻ", "１２",
+]
+
+
+def _check_number_text(text):
+    import re
+
+    from ruled_lattice.base import is_int_text
+    from ruled_lattice.weyl import read_period
+
+    assert is_int_text(text) == bool(re.fullmatch(r"[+-]?\d+", text))
+    try:
+        read_period(text)
+    except LatticeError as exc:
+        read = "zero denominator" in str(exc)
+    else:
+        read = True
+    assert read == bool(re.fullmatch(r"[+-]?\d+(/\d+)?", text))
+
+
+@pytest.mark.parametrize("text", _NUMBER_TEXTS)
+def test_number_text_matches_the_old_patterns(text):
+    _check_number_text(text)
+
+
+@given(st.text(alphabet="+-/ .0129١٣²Ⅻ１e", max_size=6))
+def test_number_text_matches_the_old_patterns_on_random_text(text):
+    _check_number_text(text)
 
 
 def test_period_zero_denominator_is_refused():

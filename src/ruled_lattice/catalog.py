@@ -15,8 +15,8 @@ uses the computer-algebra convention "N : H".
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Optional, Union
+from functools import cache
+from typing import Union
 
 from . import coxeter
 from .base import SMALL_CASE_LABELS, Record
@@ -381,24 +381,13 @@ def o12_generators() -> dict[str, LatticeAutomorphism]:
     }
 
 
+@cache
 def _o12_residual_table() -> dict[tuple, tuple[str, ...]]:
     """Shortest words in s1, s2 for every automorphism fixing L (the eight
-    signed permutations of E1, E2), by breadth-first search."""
-    gens = o12_generators()
-    ident = LatticeAutomorphism.identity(o12_model())
-    table: dict[tuple, tuple[str, ...]] = {ident.matrix: ()}
-    queue = deque([(ident, ())])
-    while queue:
-        current, word = queue.popleft()
-        for name in ("s1", "s2"):
-            nxt = gens[name] @ current
-            if nxt.matrix not in table:
-                table[nxt.matrix] = word + (name,)
-                queue.append((nxt, word + (name,)))
-    return table
-
-
-_RESIDUALS: Optional[dict[tuple, tuple[str, ...]]] = None
+    signed permutations of E1, E2, a dihedral group of order 8)."""
+    spelled = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1", "s2 s1 s2", "s1 s2 s1 s2")
+    words = [GroupWord(w.split()) for w in spelled]
+    return {evaluate_o12_word(w).matrix: w.letters for w in words}
 
 
 def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
@@ -412,7 +401,6 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
     automorphism fixes L and a table lookup over the eight signed
     permutations finishes the word.
     """
-    global _RESIDUALS
     model = o12_model()
     if m.model != model:
         raise CatalogError("decompose_O12 expects the rank-3 rational model")
@@ -449,9 +437,7 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         if current.matrix[0][0] >= before:
             raise CatalogError("descent failed to decrease l; input was invalid")
 
-    if _RESIDUALS is None:
-        _RESIDUALS = _o12_residual_table()
-    residual = _RESIDUALS.get(current.matrix)
+    residual = _o12_residual_table().get(current.matrix)
     if residual is None:
         raise CatalogError("residual automorphism is not a signed permutation")
     return GroupWord(tuple(residual) + tuple(reversed(descent)))

@@ -162,21 +162,20 @@ def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
     """Maximize sum m_i^2 over sorted nonnegative m with m_1+m_2+m_3 <= k.
 
     The maximum is attained on the one-parameter family
-    m = (k - 2t, t, .., t); all t in 0..k//3 are evaluated exactly and ties
-    go to the larger t.  The returned value exceeds k^2 exactly when
-    (blowups + 3) t > 4k for the winning t, which first happens at
-    10 blowups.
+    m = (k - 2t, t, .., t) with 0 <= t <= k//3.  Its value
+    (k - 2t)^2 + (blowups - 1) t^2 is strictly convex in t, so the better
+    endpoint, t = 0 or t = k//3, wins; a tie goes to t = k//3.  The
+    returned value exceeds k^2 exactly when (blowups + 3) t > 4k for the
+    winning t, which first happens at 10 blowups.
     """
     if k < 3 or blowups < 3:
         raise SWError("extremal_sequence needs k >= 3 and at least 3 blowups")
-    best: Optional[tuple[tuple[int, ...], int]] = None
-    for t in range(k // 3 + 1):
-        vec = (k - 2 * t,) + (t,) * (blowups - 1)
-        val = (k - 2 * t) ** 2 + (blowups - 1) * t * t
-        if best is None or val >= best[1]:
-            best = (vec, val)
-    assert best is not None
-    return best
+
+    def value(t: int) -> int:
+        return (k - 2 * t) ** 2 + (blowups - 1) * t * t
+
+    t = k // 3 if value(k // 3) >= value(0) else 0
+    return (k - 2 * t,) + (t,) * (blowups - 1), value(t)
 
 
 def _search_one_k(blowups: int, k: int) -> list[SphereCandidate]:

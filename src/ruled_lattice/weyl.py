@@ -19,10 +19,9 @@ routines return words that transport their input to the output.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .base import (
     INF,
@@ -285,7 +284,29 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
 
 
 # ---------------------------------------------------------------------------
-# orbits
+# breadth-first search and orbits
+
+# the most vertices one search may reach; orbits grow about as l^4 in the
+# number of blowups, and the CLI takes any --ell and --bound
+SEARCH_VERTEX_CAP = 200_000
+
+
+def breadth_first(starts: Iterable, neighbours: Callable[[Any], Iterable]) -> set:
+    """Every vertex reachable from ``starts``, searched breadth first.
+
+    ``neighbours(v)`` gives the vertices adjacent to ``v``.  A search that
+    passes ``SEARCH_VERTEX_CAP`` vertices raises LatticeError at once.
+    """
+    seen = set(starts)
+    queue = list(seen)
+    for v in queue:  # a list iterator also yields what is appended meanwhile
+        for w in neighbours(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+        if len(seen) > SEARCH_VERTEX_CAP:
+            raise LatticeError(f"search reached more than {SEARCH_VERTEX_CAP} vertices")
+    return seen
 
 
 class OrbitResult(Record):
@@ -315,23 +336,24 @@ def orbit(
         raise LatticeError("seed already exceeds the coefficient bound")
     names = tuple(generator_names) if generator_names is not None else gens.names
     actions = [gens.root_action(n) for n in names]
-    start = seed.coeffs
-    seen = {start}
-    queue = deque([start])
     truncated = False
-    while queue:
-        current = queue.popleft()
+
+    def images(v: tuple[int, ...]) -> list[tuple[int, ...]]:
+        nonlocal truncated
+        out = []
         for action in actions:
-            nxt = reflect_coeffs(action, current)
-            if nxt in seen:
-                continue
-            # only the support of the root moved, and current is within the bound
-            if any(abs(nxt[i]) > bound for i, _ in action[1]):
-                truncated = True
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return OrbitResult(gens.model, frozenset(seen), truncated)
+            nxt = reflect_coeffs(action, v)
+            # only the support of the root moved, and v is within the bound
+            for i, _ in action[1]:
+                if not -bound <= nxt[i] <= bound:
+                    truncated = True
+                    break
+            else:
+                out.append(nxt)
+        return out
+
+    vectors = breadth_first((seed.coeffs,), images)
+    return OrbitResult(gens.model, frozenset(vectors), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +795,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
 _COMPONENT_RANK_CAP = 8
 
 
-def _component_label(names: list[str], adj: dict[str, list[str]]) -> str:
+def _component_label(names: set[str], adj: dict[str, list[str]]) -> str:
     """Classify one connected simply-laced component (path or single fork)."""
     n = len(names)
     degrees = {v: len(adj[v]) for v in names}
@@ -874,19 +896,10 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     labels = []
     unvisited = set(names)
     for start in names:
-        if start not in unvisited:
-            continue
-        comp = [start]
-        unvisited.discard(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w in unvisited:
-                    unvisited.discard(w)
-                    comp.append(w)
-                    frontier.append(w)
-        labels.append(_component_label(comp, adj))
+        if start in unvisited:
+            comp = breadth_first((start,), adj.__getitem__)
+            unvisited -= comp
+            labels.append(_component_label(comp, adj))
     if not coxeter.is_finite_type(system):
         raise InternalConsistencyError("Lagrangian system is not finite type")
     return LagrangianSystem(

@@ -1,4 +1,5 @@
-"""Acceptance gate: the nine contract criteria, one pass/fail line each.
+"""Acceptance gate: the nine contract criteria, one pass/fail line each,
+plus a check that criterion 4's quotient oracle matches the full orbit.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; each test also enforces its runtime budget.
@@ -6,8 +7,8 @@ lines; each test also enforces its runtime budget.
 
 import random
 import time
-from collections import deque
 from contextlib import contextmanager
+from itertools import product
 
 from ruled_lattice import coxeter
 from ruled_lattice.catalog import (
@@ -28,7 +29,12 @@ from ruled_lattice.coxeter import (
     type_E,
     verify_crystallographic,
 )
-from ruled_lattice.lattice import HomologyClass, rational_model, ruled_model
+from ruled_lattice.lattice import (
+    HomologyClass,
+    rational_model,
+    reflect_coeffs,
+    ruled_model,
+)
 from ruled_lattice.sw import (
     SphereCandidate,
     dichotomy_search,
@@ -37,6 +43,7 @@ from ruled_lattice.sw import (
 )
 from ruled_lattice.weyl import (
     GroupWord,
+    breadth_first,
     generator_set,
     lagrangian_system,
     maximal_system_membership,
@@ -105,24 +112,34 @@ def test_criterion_3_finiteness_dichotomy():
         assert not is_finite_type(L3_4inf())
 
 
-def _compiled_step(mats):
-    """One function computing all generator images of a coefficient tuple."""
-    exprs = []
-    for mat in mats:
-        rows = []
-        for row in mat:
-            parts = []
-            for j, v in enumerate(row):
-                if v == 1:
-                    parts.append(f"+c{j}")
-                elif v == -1:
-                    parts.append(f"-c{j}")
-                elif v:
-                    parts.append(f"{v:+d}*c{j}")
-            rows.append("".join(parts).lstrip("+") or "0")
-        exprs.append("(" + ",".join(rows) + ")")
-    names = ",".join(f"c{j}" for j in range(len(mats[0])))
-    return eval(f"lambda {names}: ({','.join(exprs)})")
+def _dominant(v):
+    """The W(B_4) representative of a rank-5 coefficient vector: s1..s4
+    permute and negate the exceptional coefficients, so sort their sizes."""
+    return (v[0], *sorted(map(abs, v[1:])))
+
+
+# s0 moves E1, E2, E3 alike, so an s0 edge out of a representative depends
+# only on which three exceptional slots it meets and on their signs
+_SLOT_TRIPLES = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 4, 2), (2, 3, 4, 1))
+_SIGNS = tuple(product((1, -1), repeat=3))
+
+
+def _quotient_step(s0, bound):
+    """Edges of the orbit graph on W(B_4) representatives within the
+    max-abs box ``bound``, which every signed permutation preserves."""
+
+    def step(rep):
+        out = []
+        for a, b, c, d in _SLOT_TRIPLES:
+            for x, y, z in _SIGNS:
+                v = (rep[0], x * rep[a], y * rep[b], z * rep[c], rep[d])
+                w = reflect_coeffs(s0, v)
+                # s0 leaves the fourth slot alone
+                if max(abs(w[0]), abs(w[1]), abs(w[2]), abs(w[3])) <= bound:
+                    out.append(_dominant(w))
+        return out
+
+    return step
 
 
 def test_criterion_4_fundamental_domain():
@@ -159,39 +176,41 @@ def test_criterion_4_fundamental_domain():
 
         # inputs sharing a canonical form are equivalent through their
         # certificate words; distinct canonical forms must stay distinct
-        # under the bounded-orbit oracle
-        step = _compiled_step([gens.automorphism(n).matrix for n in gens.names])
-        bound = 40
+        # under the bounded-orbit oracle, searched on W(B_4) representatives
+        step = _quotient_step(gens.root_action("s0"), bound=40)
         for q, forms in sorted(by_invariant.items()):
             if len(forms) < 2:
                 continue
-            color = dict.fromkeys(forms)
-            queue = deque()
-            for f in forms:
-                color[f] = f
-                queue.append(f)
-            pop = queue.popleft
-            push = queue.append
-            while queue:
-                cur = pop()
-                c = color[cur]
-                for nxt in step(*cur):
-                    if nxt in color:
-                        assert color[nxt] == c, (
-                            f"q={q}: canonical forms {c} and {color[nxt]}"
-                            f" meet at {nxt}"
-                        )
-                        continue
-                    n0, n1, n2, n3, n4 = nxt
-                    if (
-                        -bound <= n0 <= bound
-                        and -bound <= n1 <= bound
-                        and -bound <= n2 <= bound
-                        and -bound <= n3 <= bound
-                        and -bound <= n4 <= bound
-                    ):
-                        color[nxt] = c
-                        push(nxt)
+            owner = {}
+            for f in sorted(forms):
+                for rep in breadth_first((_dominant(f),), step):
+                    other = owner.setdefault(rep, f)
+                    assert other == f, (
+                        f"q={q}: canonical forms {f} and {other} meet at {rep}"
+                    )
+
+
+def test_criterion_4_oracle_matches_the_full_orbit():
+    # the representatives the quotient search reaches are exactly those of
+    # the full bounded orbit
+    model = rational_model(4)
+    gens = generator_set(model)
+    step = _quotient_step(gens.root_action("s0"), bound=12)
+    seeds = [
+        (1, 0, 0, 0, 0),
+        (2, 1, 0, -1, 0),
+        (3, -1, -1, -1, 0),
+        (4, -2, -1, -1, -1),
+        (5, -2, -2, -1, -1),
+        (0, 1, -1, 0, 0),
+        (0, 0, 0, 0, 1),
+    ]
+    for seed in seeds:
+        full = orbit(gens, HomologyClass(model, seed), bound=12)
+        assert full.truncated
+        assert breadth_first((_dominant(seed),), step) == {
+            _dominant(v) for v in full.vectors
+        }
 
 
 def test_criterion_5_sw_dichotomy():

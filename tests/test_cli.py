@@ -453,6 +453,17 @@ def test_orbit(capsys):
     assert "6" in out
 
 
+def test_orbit_past_the_vertex_cap_exits_1(capsys, monkeypatch):
+    from ruled_lattice import weyl
+
+    monkeypatch.setattr(weyl, "SEARCH_VERTEX_CAP", 50)
+    code, out, err = run(
+        capsys, "orbit", "--model=rational", "--ell=4", "--seed=1,0,0,0,0", "--bound=12"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: search reached more than 50 vertices\n"
+
+
 def test_coxeter_check(capsys):
     code, out, _ = run(capsys, "coxeter-check", "--model", "rational", "--ell", "4")
     assert code == EXIT_OK

@@ -200,6 +200,31 @@ def test_extremal_matches_brute_force():
             assert extremal_sequence(k, l)[1] == brute(k, l)
 
 
+def test_extremal_closed_form_matches_the_scan():
+    # the family m = (k - 2t, t, .., t) scanned over every t, ties to the
+    # larger t, as the closed form claims to pick
+    def scan(k, l):
+        def value(t):
+            return (k - 2 * t) ** 2 + (l - 1) * t * t
+
+        t = max(range(k // 3 + 1), key=lambda t: (value(t), t))
+        return (k - 2 * t,) + (t,) * (l - 1), value(t)
+
+    for k in range(3, 300):
+        for l in range(3, 40):
+            assert extremal_sequence(k, l) == scan(k, l), (k, l)
+
+
+def test_extremal_huge_k_is_immediate():
+    k = 10**9
+    assert extremal_sequence(k, 5) == ((k, 0, 0, 0, 0), k * k)
+    t = k // 3
+    assert extremal_sequence(k, 10) == (
+        (k - 2 * t,) + (t,) * 9,
+        (k - 2 * t) ** 2 + 9 * t * t,
+    )
+
+
 def test_extremal_bounds():
     with pytest.raises(SWError):
         extremal_sequence(2, 5)

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruled_lattice import weyl
 from ruled_lattice.lattice import (
     HomologyClass,
     LatticeAutomorphism,
     LatticeError,
     ModelMismatchError,
     exceptional_class,
+    positive_cone_contains,
     rational_model,
+    reflect_coeffs,
     reflection_along,
     ruled_model,
 )
@@ -219,6 +222,18 @@ def test_orbit_rejects_bad_seeds():
         orbit(g, HomologyClass(R5, (0, 1, 0, 0, 0, 0)), bound=2)
     with pytest.raises(LatticeError, match="no generator named 's9'"):
         orbit(g, exceptional_class(R3, 1), bound=2, generator_names=("s1", "s9"))
+
+
+def test_orbit_refuses_a_search_past_the_vertex_cap(monkeypatch):
+    g = generator_set(R3)
+    seed = HomologyClass(R3, (1, 0, 0, 0))
+    size = len(orbit(g, seed, bound=2).vectors)
+    monkeypatch.setattr(weyl, "SEARCH_VERTEX_CAP", size)
+    assert len(orbit(g, seed, bound=2).vectors) == size
+    monkeypatch.setattr(weyl, "SEARCH_VERTEX_CAP", 1000)
+    # the cap stops the search itself, long before a bound this large would
+    with pytest.raises(LatticeError, match="more than 1000 vertices"):
+        orbit(g, seed, bound=10**9)
 
 
 def test_unknown_generator_name_is_a_lattice_error():
@@ -466,9 +481,9 @@ def test_reduction_json_shape():
 @st.composite
 def cone_periods(draw, kinds=("rational", "ruled")):
     """A point of the coded cone over one denominator in {1, 2, 3, 7}:
-    rational l = 3..9 or ruled l = 2..7, often close to the cone's edge."""
+    rational l = 3..11 or ruled l = 2..7, often close to the cone's edge."""
     ruled = draw(st.sampled_from(kinds)) == "ruled"
-    l = draw(st.integers(2, 7) if ruled else st.integers(3, 9))
+    l = draw(st.integers(2, 7) if ruled else st.integers(3, 11))
     d = draw(st.sampled_from((1, 2, 3, 7)))
     mus = draw(st.lists(st.integers(-10, 10), min_size=l, max_size=l))
     norm = sum(m * m for m in mus)
@@ -498,6 +513,18 @@ def test_reduction_properties(p):
     assert again.word.letters == ()
     data = json.loads(json.dumps(red.to_json_dict()))
     assert PeriodVector.from_json_dict(data["reduced"]) == red.reduced
+
+
+# Rational model only: the ruled cone the code accepts is not preserved by
+# s0 (the cone defect in ROADMAP item 3), so the ruled half stays out until
+# that defect is settled.
+@given(cone_periods(kinds=("rational",)))
+@settings(max_examples=150, deadline=None)
+def test_generators_preserve_the_rational_cone(p):
+    g = generator_set(p.model)
+    for name in g.names:
+        image = reflect_coeffs(g.root_action(name), p.coeffs)
+        assert positive_cone_contains(HomologyClass(p.model, image)), name
 
 
 @st.composite

@@ -29,9 +29,8 @@ from .lattice import (
     ManifoldModel,
     exceptional_class,
     rational_model,
-    reflection_along,
 )
-from .weyl import GroupWord, expected_coxeter_system
+from .weyl import GeneratorSet, GroupWord, expected_coxeter_system
 
 
 class CatalogError(LatticeError):
@@ -366,19 +365,23 @@ def o12_model() -> ManifoldModel:
     return rational_model(2)
 
 
-def o12_generators() -> dict[str, LatticeAutomorphism]:
+@cache
+def _o12_gens() -> GeneratorSet:
     """The three generators of the cone-preserving automorphism group of
     the rank-3 lattice: reflection along E1 - E2, twist along E2, twist
     along L - E1 - E2."""
     model = o12_model()
-    s12 = HomologyClass(model, (0, 1, -1))
-    e2 = exceptional_class(model, 2)
-    eprime = HomologyClass(model, (1, -1, -1))
-    return {
-        "s1": reflection_along(s12),
-        "s2": reflection_along(e2),
-        "s0*": reflection_along(eprime),
-    }
+    classes = (
+        HomologyClass(model, (0, 1, -1)),
+        exceptional_class(model, 2),
+        HomologyClass(model, (1, -1, -1)),
+    )
+    return GeneratorSet(model, O12_GENERATOR_NAMES, classes)
+
+
+def o12_generators() -> dict[str, LatticeAutomorphism]:
+    """The three O12 generators as matrices, by name (see ``_o12_gens``)."""
+    return dict(_o12_gens().automorphisms)
 
 
 @cache
@@ -408,7 +411,7 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         raise CatalogError("input does not preserve the intersection form")
     if not m.is_cone_preserving():
         raise CatalogError("input does not preserve the positive cone")
-    gens = o12_generators()
+    gens = _o12_gens().automorphisms
     neg_e1 = ("s1", "s2", "s1")  # conjugate the E2 twist to the E1 twist
 
     current = m
@@ -444,13 +447,10 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
 
 
 def evaluate_o12_word(word: GroupWord) -> LatticeAutomorphism:
-    gens = o12_generators()
-    acc = LatticeAutomorphism.identity(o12_model())
     for letter in word.letters:
-        if letter not in gens:
+        if letter not in O12_GENERATOR_NAMES:
             raise CatalogError(f"unknown generator {letter!r}")
-        acc = gens[letter] @ acc
-    return acc
+    return word.evaluate(_o12_gens())
 
 
 def random_o12_word(length: int, rng: random.Random) -> GroupWord:

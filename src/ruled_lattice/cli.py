@@ -62,7 +62,8 @@ _LIBRARY = {
         "LatticeAutomorphism",
         "ManifoldModel",
         "pairing",
-        "reflection_along",
+        "reflect_coeffs",
+        "root_action",
     ),
     "sw": (
         "SphereCandidate",
@@ -214,18 +215,12 @@ def _get_int_list(inp: dict, key: str) -> list[int]:
     return value
 
 
-def _get_model(inp: dict, key: str = "model") -> ManifoldModel:
+def _get_dict(inp: dict, key: str) -> dict:
+    """A JSON object of the payload, for its type's ``from_json_dict``."""
     value = _get(inp, key)
     if not isinstance(value, dict):
         raise UsageError(f"{key!r} must be a JSON object")
-    return ManifoldModel.from_json_dict(value)
-
-
-def _get_class(inp: dict, key: str) -> HomologyClass:
-    value = _get(inp, key)
-    if not isinstance(value, dict):
-        raise UsageError(f"{key!r} must be a JSON object")
-    return HomologyClass.from_json_dict(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def _gather_model_only(args: _Args) -> dict:
 
 
 def _run_manifold_info(inp: dict) -> _Outcome:
-    model = _get_model(inp)
+    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     result: dict = {
         "kind": model.kind.value,
         "blowups": model.blowups,
@@ -297,7 +292,7 @@ def _gather_pair(args: _Args) -> dict:
 
 
 def _run_pair(inp: dict) -> _Outcome:
-    model = _get_model(inp)
+    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     a = HomologyClass(model, tuple(_get_int_list(inp, "a")))
     b = HomologyClass(model, tuple(_get_int_list(inp, "b")))
     result = {
@@ -330,10 +325,12 @@ def _gather_reflect(args: _Args) -> dict:
 
 
 def _run_reflect(inp: dict) -> _Outcome:
-    model = _get_model(inp)
+    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     mirror = HomologyClass(model, tuple(_get_int_list(inp, "mirror")))
     target = HomologyClass(model, tuple(_get_int_list(inp, "target")))
-    image = reflection_along(mirror).apply(target)
+    image = HomologyClass._trusted(
+        model, reflect_coeffs(root_action(mirror), target.coeffs)
+    )
     result = {
         "mirror": str(mirror),
         "mirror_square": mirror.square,
@@ -368,7 +365,7 @@ def _gather_orbit(args: _Args) -> dict:
 
 
 def _run_orbit(inp: dict) -> _Outcome:
-    model = _get_model(inp)
+    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     seed = HomologyClass(model, tuple(_get_int_list(inp, "seed")))
     bound = _get_int(inp, "bound")
     names = inp.get("generators")
@@ -412,15 +409,8 @@ def _gather_periods(args: _Args) -> dict:
     return {"periods": periods_json(model_d, values)}
 
 
-def _get_periods(inp: dict) -> PeriodVector:
-    value = _get(inp, "periods")
-    if not isinstance(value, dict):
-        raise UsageError("'periods' must be a JSON object")
-    return PeriodVector.from_json_dict(value)
-
-
 def _run_reduce_periods(inp: dict) -> _Outcome:
-    p = _get_periods(inp)
+    p = PeriodVector.from_json_dict(_get_dict(inp, "periods"))
     red = reduce_periods(p)
     word = red.word.to_json_list()
     lines = (
@@ -447,7 +437,7 @@ def _gather_reduce_class(args: _Args) -> dict:
 
 
 def _run_reduce_class(inp: dict) -> _Outcome:
-    c = _get_class(inp, "target")
+    c = HomologyClass.from_json_dict(_get_dict(inp, "target"))
     gens = generator_set(c.model)
     red = reduce_class(gens, c)
     word = red.word.to_json_list()
@@ -464,7 +454,7 @@ def _run_reduce_class(inp: dict) -> _Outcome:
 
 
 def _run_lagrangian(inp: dict) -> _Outcome:
-    p = _get_periods(inp)
+    p = PeriodVector.from_json_dict(_get_dict(inp, "periods"))
     try:
         system = lagrangian_system(p)
     except NotReducedError as exc:
@@ -484,7 +474,7 @@ def _run_lagrangian(inp: dict) -> _Outcome:
 
 
 def _run_coxeter_check(inp: dict) -> _Outcome:
-    model = _get_model(inp)
+    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     gens = generator_set(model)
     report = verify_presentation(gens)
     result = report.to_json_dict()
@@ -514,19 +504,12 @@ def _gather_coxeter_finite(args: _Args) -> dict:
         system = from_name(args.system)
     else:
         _bind(("lattice", "weyl"))  # only this path reads a model
-        system = expected_coxeter_system(_get_model(_gather_model_only(args)))
+        system = expected_coxeter_system(ManifoldModel.from_json_dict(_model_dict(args)))
     return {"system": system.to_json_dict()}
 
 
-def _get_system(inp: dict) -> CoxeterSystem:
-    value = _get(inp, "system")
-    if not isinstance(value, dict):
-        raise UsageError("'system' must be a JSON object")
-    return CoxeterSystem.from_json_dict(value)
-
-
 def _run_coxeter_finite(inp: dict) -> _Outcome:
-    system = _get_system(inp)
+    system = CoxeterSystem.from_json_dict(_get_dict(inp, "system"))
     finite = is_finite_type(system)
     det = gram_determinant(system)
     result = {
@@ -566,9 +549,7 @@ def _gather_crystal_check(args: _Args) -> dict:
 
 
 def _run_crystal_check(inp: dict) -> _Outcome:
-    value = _get(inp, "crystal")
-    if not isinstance(value, dict):
-        raise UsageError("'crystal' must be a JSON object")
+    value = _get_dict(inp, "crystal")
     short = value.get("short")
     if not isinstance(short, list) or any(not isinstance(s, str) for s in short):
         raise UsageError("'crystal.short' must be a JSON array of names")
@@ -766,16 +747,15 @@ def _gather_describe(args: _Args) -> dict:
 
 
 def _run_describe(inp: dict) -> _Outcome:
-    target = _get(inp, "target")
-    if not isinstance(target, dict):
-        raise UsageError("'target' must be a JSON object")
+    target = _get_dict(inp, "target")
     if "label" in target:
         label = target["label"]
         if not isinstance(label, str):
             raise UsageError("'target.label' must be a string")
         desc = describe_diffeotopy(label)
     else:
-        desc = describe_diffeotopy(_get_model(target))
+        model = ManifoldModel.from_json_dict(_get_dict(target, "model"))
+        desc = describe_diffeotopy(model)
     lines = [desc.name, f"structure: {desc.structure.render()}"]
     lines.extend(f"note: {n}" for n in desc.notes)
     return _Outcome(desc.to_json_dict(), tuple(lines))

@@ -64,8 +64,13 @@ class ManifoldModel(Record):
             raise LatticeError("the ruled model requires genus >= 1")
 
     @property
+    def head(self) -> int:
+        """How many basis classes come before E_1: L, resp. Y and F."""
+        return 1 if self.kind is Kind.RATIONAL else 2
+
+    @property
     def rank(self) -> int:
-        return self.blowups + (1 if self.kind is Kind.RATIONAL else 2)
+        return self.head + self.blowups
 
     @cached_property
     def basis_names(self) -> tuple[str, ...]:
@@ -79,16 +84,12 @@ class ManifoldModel(Record):
         In both models the Gram matrix is an involution, which makes
         inverting a form-preserving matrix M a transpose: M^-1 = G M^T G.
         """
-        n = self.rank
+        n, h = self.rank, self.head
         rows = [[0] * n for _ in range(n)]
-        if self.kind is Kind.RATIONAL:
-            rows[0][0] = 1
-            first_exceptional = 1
-        else:
-            rows[0][1] = 1
-            rows[1][0] = 1
-            first_exceptional = 2
-        for i in range(first_exceptional, n):
+        # L.L = 1, resp. Y.F = F.Y = 1
+        for i in range(h):
+            rows[i][h - 1 - i] = 1
+        for i in range(h, n):
             rows[i][i] = -1
         return tuple(tuple(r) for r in rows)
 
@@ -96,7 +97,7 @@ class ManifoldModel(Record):
         """Coefficient index of E_i (1-based i)."""
         if not 1 <= i <= self.blowups:
             raise LatticeError(f"E_{i} does not exist in this model")
-        return i if self.kind is Kind.RATIONAL else i + 1
+        return self.head + i - 1
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind.value, "blowups": self.blowups, "genus": self.genus}
@@ -290,11 +291,8 @@ class LatticeAutomorphism(Record):
         For a form-preserving matrix it is enough to follow one square-positive
         vector: L in the rational model, Y + F in the ruled one.
         """
-        if self.model.kind is Kind.RATIONAL:
-            image = self._product((1,) + (0,) * (self.model.rank - 1))
-        else:
-            image = self._product((1, 1) + (0,) * (self.model.rank - 2))
-        return image[0] > 0
+        model = self.model
+        return self._product((1,) * model.head + (0,) * model.blowups)[0] > 0
 
     def inverse(self) -> "LatticeAutomorphism":
         """G M^T G; valid because the matrix preserves the form and G^2 = 1."""
@@ -367,7 +365,7 @@ def root_action(s: HomologyClass) -> RootAction:
     ``coef`` and the accepted squares are those of ``reflection_along``.
     """
     coef = _reflection_coefficient(s)
-    head = 1 if s.model.kind is Kind.RATIONAL else 2
+    head = s.model.head
     support = [(i, c) for i, c in enumerate(s.coeffs) if c]
     # G fixes L, swaps Y and F, and negates every E_i
     dual = tuple((head - 1 - i, c) if i < head else (i, -c) for i, c in support)

@@ -88,28 +88,30 @@ class GeneratorSet(Record):
             name: reflection_along(c) for name, c in zip(self.names, self.classes)
         }
 
-    def automorphism(self, name: str) -> LatticeAutomorphism:
-        try:
-            return self.automorphisms[name]
-        except KeyError:
-            raise LatticeError(f"no generator named {name!r}") from None
-
-    def class_of(self, name: str) -> HomologyClass:
-        try:
-            return self.classes[self.names.index(name)]
-        except ValueError:
-            raise LatticeError(f"no generator named {name!r}") from None
-
     @cached_property
     def _root_actions(self) -> dict[str, RootAction]:
-        return {}
+        return {name: root_action(c) for name, c in zip(self.names, self.classes)}
+
+    @cached_property
+    def _classes(self) -> dict[str, HomologyClass]:
+        return dict(zip(self.names, self.classes))
+
+    def automorphism(self, name: str) -> LatticeAutomorphism:
+        return _generator(self.automorphisms, name)
+
+    def class_of(self, name: str) -> HomologyClass:
+        return _generator(self._classes, name)
 
     def root_action(self, name: str) -> RootAction:
         """The sparse action of one generator, see ``lattice.root_action``."""
-        action = self._root_actions.get(name)
-        if action is None:
-            action = self._root_actions[name] = root_action(self.class_of(name))
-        return action
+        return _generator(self._root_actions, name)
+
+
+def _generator(table: dict, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise LatticeError(f"no generator named {name!r}") from None
 
 
 def _require_generators(model: ManifoldModel) -> None:
@@ -286,26 +288,33 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
 # ---------------------------------------------------------------------------
 # breadth-first search and orbits
 
-# the most vertices one search may reach; orbits grow about as l^4 in the
-# number of blowups, and the CLI takes any --ell and --bound
+# the most vertices, and the most coefficients over tuple vertices, one
+# search may hold; orbits grow about as l^4 in the number of blowups, and
+# the CLI takes any --ell and --bound.  Up to rank 10 the vertex cap binds.
 SEARCH_VERTEX_CAP = 200_000
+SEARCH_COEFFICIENT_CAP = 2_000_000
 
 
 def breadth_first(starts: Iterable, neighbours: Callable[[Any], Iterable]) -> set:
     """Every vertex reachable from ``starts``, searched breadth first.
 
     ``neighbours(v)`` gives the vertices adjacent to ``v``.  A search that
-    passes ``SEARCH_VERTEX_CAP`` vertices raises LatticeError at once.
+    passes ``SEARCH_VERTEX_CAP`` vertices, or whose tuple vertices pass
+    ``SEARCH_COEFFICIENT_CAP`` coefficients in all, raises LatticeError at
+    once.
     """
     seen = set(starts)
     queue = list(seen)
+    width = len(queue[0]) if queue and isinstance(queue[0], tuple) else 1
+    cap = min(SEARCH_VERTEX_CAP, SEARCH_COEFFICIENT_CAP // width)
+    unit = " vertices" if cap == SEARCH_VERTEX_CAP else f" vertices of rank {width}"
     for v in queue:  # a list iterator also yields what is appended meanwhile
         for w in neighbours(v):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-        if len(seen) > SEARCH_VERTEX_CAP:
-            raise LatticeError(f"search reached more than {SEARCH_VERTEX_CAP} vertices")
+        if len(seen) > cap:
+            raise LatticeError(f"search reached more than {cap}{unit}")
     return seen
 
 
@@ -343,6 +352,8 @@ def orbit(
         out = []
         for action in actions:
             nxt = reflect_coeffs(action, v)
+            if nxt is v:  # a mirror orthogonal to v fixes it: nothing new
+                continue
             # only the support of the root moved, and v is within the bound
             for i, _ in action[1]:
                 if not -bound <= nxt[i] <= bound:
@@ -443,13 +454,12 @@ class PeriodVector(Record):
     @property
     def head(self) -> tuple[Fraction, ...]:
         """(line,) resp. (fiber, section)."""
-        return self._fractions(self.coeffs[: len(_HEAD_KEYS[self.model.kind])])
+        return self._fractions(self.coeffs[: self.model.head])
 
     @property
     def exceptional(self) -> tuple[Fraction, ...]:
         """(mu_1, ..., mu_l)."""
-        h = len(_HEAD_KEYS[self.model.kind])
-        return self._fractions(-c for c in self.coeffs[h:])
+        return self._fractions(-c for c in self.coeffs[self.model.head :])
 
     def dual_coefficients(self) -> tuple[Fraction, ...]:
         return self._fractions(self.coeffs)
@@ -460,7 +470,7 @@ class PeriodVector(Record):
     ) -> "PeriodVector":
         coeffs = tuple(coeffs)
         _check_length(model, coeffs)
-        h = len(_HEAD_KEYS[model.kind])
+        h = model.head
         return _periods(model, coeffs[:h], coeffs[h:], sign=1)
 
     def period_of(self, c: HomologyClass) -> Fraction:
@@ -477,7 +487,7 @@ class PeriodVector(Record):
         """
         _require_generators(self.model)
         c = self.coeffs
-        h = len(_HEAD_KEYS[self.model.kind])
+        h = self.model.head
         # c[h + i - 1] = -mu_i; s0 is L - E1 - E2 - E3 resp. F - E1 - E2
         s0 = c[0] + sum(c[h:4])
         return (s0, *(c[j + 1] - c[j] for j in range(h, len(c) - 1)), -c[-1])
@@ -487,13 +497,13 @@ class PeriodVector(Record):
 
     def _texts(self) -> list[str]:
         """The periods in basis order, head then mu_1..mu_l, as "p" or "p/q"."""
-        h = len(_HEAD_KEYS[self.model.kind])
+        h = self.model.head
         d = self.denominator
         return [rational_text(c if j < h else -c, d) for j, c in enumerate(self.coeffs)]
 
     def __str__(self) -> str:
         texts = self._texts()
-        h = len(_HEAD_KEYS[self.model.kind])
+        h = self.model.head
         return f"({', '.join(texts[:h])}; {','.join(texts[h:])})"
 
     def to_json_dict(self) -> dict:
@@ -585,8 +595,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     _require_generators(p.model)
     if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
         raise OutsideConeError(f"{p} is not in the open positive cone")
-    rational = p.model.kind is Kind.RATIONAL
-    h = 1 if rational else 2
+    h = p.model.head
     head = list(p.coeffs[:h])
     mus = [-c for c in p.coeffs[h:]]
     l = len(mus)
@@ -608,7 +617,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
             mus[-1] = -mus[-1]
             letters.append(f"s{l}")
             continue
-        if rational:
+        if h == 1:  # rational: the extra wall is L - E1 - E2 - E3
             gap = head[0] - (mus[0] + mus[1] + mus[2])
             if gap < 0:
                 lam = head[0]
@@ -620,7 +629,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
                 )
                 letters.append("s0")
                 continue
-        else:
+        else:  # ruled: F - E1 - E2
             gap = head[0] - (mus[0] + mus[1])
             if gap < 0:
                 fib = head[0]

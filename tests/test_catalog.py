@@ -23,8 +23,10 @@ from ruled_lattice.catalog import (
     O12_GENERATOR_NAMES,
 )
 from ruled_lattice.lattice import (
+    HomologyClass,
     LatticeAutomorphism,
     rational_model,
+    reflection_along,
     ruled_model,
 )
 from ruled_lattice.weyl import GroupWord
@@ -167,6 +169,18 @@ def test_o12_generators_are_involutions():
     ident = LatticeAutomorphism.identity(o12_model())
     for g in gens.values():
         assert g @ g == ident
+
+
+def test_o12_generators_are_the_three_reflections():
+    model = o12_model()
+    mirrors = {"s1": (0, 1, -1), "s2": (0, 0, 1), "s0*": (1, -1, -1)}
+    expected = {n: reflection_along(HomologyClass(model, c)) for n, c in mirrors.items()}
+    gens = o12_generators()
+    assert gens == expected
+    # a copy: changing it leaves the cached generators alone
+    gens.clear()
+    assert o12_generators() == expected
+    assert evaluate_o12_word(GroupWord(("s0*",))) == expected["s0*"]
 
 
 def test_decompose_identity_is_empty():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -462,6 +463,41 @@ def test_orbit_past_the_vertex_cap_exits_1(capsys, monkeypatch):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: search reached more than 50 vertices\n"
+
+
+def test_orbit_past_the_coefficient_cap_exits_1(capsys, monkeypatch):
+    from ruled_lattice import weyl
+
+    monkeypatch.setattr(weyl, "SEARCH_COEFFICIENT_CAP", 250)
+    code, out, err = run(
+        capsys, "orbit", "--model=rational", "--ell=4", "--seed=1,0,0,0,0", "--bound=12"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: search reached more than 50 vertices of rank 5\n"
+
+
+def test_reflect_at_high_rank_uses_the_root_action(capsys, monkeypatch):
+    from ruled_lattice import lattice
+
+    def dense(*args):
+        raise AssertionError("reflect built a dense matrix")
+
+    monkeypatch.setattr(lattice, "reflection_along", dense)
+    monkeypatch.setattr(lattice.LatticeAutomorphism, "__init__", dense)
+    l = 3000
+    mirror = [1, -1, -1] + [0] * (l - 2)  # L - E1 - E2, square -1
+    target = [3] + [i % 7 - 3 for i in range(l)]
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "reflect", "--model=rational", f"--ell={l}",
+        "--mirror=" + ",".join(map(str, mirror)),
+        "--target=" + ",".join(map(str, target)), "--json",
+    )
+    assert time.perf_counter() - start < 2.0  # 7.4 s through the dense matrix
+    assert code == EXIT_OK
+    dot = target[0] * mirror[0] - sum(t * m for t, m in zip(target[1:], mirror[1:]))
+    image = [t + 2 * dot * m for t, m in zip(target, mirror)]
+    assert json.loads(out)["result"]["image"] == image
 
 
 def test_coxeter_check(capsys):

@@ -1,5 +1,7 @@
 """Models, classes, the pairing, reflections and the positive cone."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from ruled_lattice.lattice import (
     pairing,
     positive_cone_contains,
     rational_model,
+    reflect_coeffs,
     reflection_along,
+    root_action,
     ruled_model,
     section_class,
 )
@@ -67,6 +71,26 @@ def test_gram_is_an_involution():
             for i in range(n)
         ]
         assert squared == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_head_is_the_one_basis_layout(kind):
+    for l in range(12):
+        model = ManifoldModel(kind, l, 0 if kind is Kind.RATIONAL else 1)
+        h = model.head
+        assert model.rank == h + l
+        assert model.basis_names[:h] == (("L",) if h == 1 else ("Y", "F"))
+        assert model.basis_names[h:] == tuple(f"E{i}" for i in range(1, l + 1))
+        g = model.gram
+        # the head block is L.L = 1 resp. Y.F = 1; every E_i squares to -1
+        assert [row[:h] for row in g[:h]] == ([(1,)] if h == 1 else [(0, 1), (1, 0)])
+        assert g == tuple(
+            tuple(g[i][j] if i < h and j < h else -int(i == j) for j in range(h + l))
+            for i in range(h + l)
+        )
+        for i in range(1, l + 1):
+            assert model.exceptional_index(i) == h + i - 1
+            assert model.basis_names[model.exceptional_index(i)] == f"E{i}"
 
 
 def test_model_json_round_trip():
@@ -213,6 +237,38 @@ def test_reflections_preserve_the_form(data):
         r = reflection_along(mirror)
         assert pairing(r.apply(a), r.apply(b)) == pairing(a, b)
         assert (r @ r).matrix == LatticeAutomorphism.identity(model).matrix
+
+
+def _random_mirrors(model, rng, count):
+    """Square -1 and -2 classes: a simple mirror moved by random reflection
+    matrices along the simple mirrors."""
+    simple = [exceptional_class(model, i) for i in range(1, model.blowups + 1)]
+    simple += [adjacent_difference(model, i) for i in range(1, model.blowups)]
+    if model.kind is Kind.RATIONAL:
+        simple.append(line_triple_wall(model))
+    else:
+        simple.append(fiber_pair_wall(model))
+    for _ in range(count):
+        m = rng.choice(simple)
+        for _ in range(rng.randrange(8)):
+            m = reflection_along(rng.choice(simple)).apply(m)
+        yield m
+
+
+def test_root_action_matches_the_reflection_matrix():
+    rng = random.Random(10)
+    models = [rational_model(l) for l in range(3, 12)]
+    models += [ruled_model(l) for l in range(2, 8)]
+    squares = set()
+    for model in models:
+        for m in _random_mirrors(model, rng, 12):
+            squares.add(m.square)
+            action = root_action(m)
+            matrix = reflection_along(m)
+            for _ in range(4):
+                t = _cls(model, *(rng.randint(-9, 9) for _ in range(model.rank)))
+                assert reflect_coeffs(action, t.coeffs) == matrix.apply(t).coeffs
+    assert squares == {-1, -2}
 
 
 # ---------------------------------------------------------------------------

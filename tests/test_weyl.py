@@ -236,6 +236,13 @@ def test_orbit_refuses_a_search_past_the_vertex_cap(monkeypatch):
         orbit(g, seed, bound=10**9)
 
 
+def test_orbit_refuses_a_search_past_the_coefficient_cap():
+    # 39,800 vectors of rank 101: under the vertex cap, over the coefficient cap
+    model = rational_model(100)
+    with pytest.raises(LatticeError, match="more than 19801 vertices of rank 101"):
+        orbit(generator_set(model), exceptional_class(model, 1), bound=1)
+
+
 def test_unknown_generator_name_is_a_lattice_error():
     g = generator_set(R3)
     for lookup in (g.automorphism, g.class_of, g.root_action):

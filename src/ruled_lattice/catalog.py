@@ -14,7 +14,6 @@ uses the computer-algebra convention "N : H".
 
 from __future__ import annotations
 
-import random
 from functools import cache
 from typing import Union
 
@@ -452,6 +451,3 @@ def evaluate_o12_word(word: GroupWord) -> LatticeAutomorphism:
             raise CatalogError(f"unknown generator {letter!r}")
     return word.evaluate(_o12_gens())
 
-
-def random_o12_word(length: int, rng: random.Random) -> GroupWord:
-    return GroupWord(tuple(rng.choice(O12_GENERATOR_NAMES) for _ in range(length)))

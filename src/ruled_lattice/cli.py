@@ -124,12 +124,18 @@ class _Flag(Record):
 
     ``kind`` is ``str``, ``int``, the tuple of accepted strings, or ``bool``
     for a switch that takes no value; ``metavar`` None is argparse's default.
+    ``_gather_flags`` stores the value under ``key``, through ``read`` when
+    there is one, and requires the flag unless it is ``optional``; a flag
+    without a key is read some other way.
     """
 
     name: str
     kind: object
     metavar: Optional[str]
     help: str
+    key: Optional[str] = None
+    read: Optional[Callable] = None
+    optional: bool = False
 
     @property
     def dest(self) -> str:
@@ -137,7 +143,8 @@ class _Flag(Record):
 
 
 _MODEL_FLAGS = (
-    _Flag("--model", ("rational", "ruled"), None, "lattice model"),
+    # --model stores all three, as one "model" object
+    _Flag("--model", ("rational", "ruled"), None, "lattice model", "model"),
     _Flag("--ell", int, None, "number of exceptional classes"),
     _Flag("--genus", int, None, "base genus (ruled only, default 1)"),
 )
@@ -182,11 +189,20 @@ def _model_dict(args: _Args) -> dict:
     return {"kind": args.model, "blowups": args.ell, "genus": genus}
 
 
-def _require(args: _Args, dest: str, flag: str):
-    value = getattr(args, dest)
-    if value is None:
-        raise UsageError(f"{flag} is required (or use --input)")
-    return value
+def _gather_flags(args: _Args, flags: Sequence[_Flag]) -> dict:
+    """The payload of the flags that have a key, in table order."""
+    inp = {}
+    for flag in flags:
+        value = getattr(args, flag.dest)
+        if flag.key == "model":
+            inp["model"] = _model_dict(args)
+        elif flag.key is None or (value is None and flag.optional):
+            continue
+        elif value is None:
+            raise UsageError(f"{flag.name} is required (or use --input)")
+        else:
+            inp[flag.key] = value if flag.read is None else flag.read(value)
+    return inp
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +253,10 @@ class _Command(Record):
     name: str
     help: str
     flags: tuple[_Flag, ...]  # its own, before _COMMON_FLAGS
-    gather: Callable[[_Args], dict]
     run: Callable[[dict], _Outcome]
     modules: tuple[str, ...]  # library modules gather and run use
-
-
-def _gather_model_only(args: _Args) -> dict:
-    return {"model": _model_dict(args)}
+    # the payload of direct flags; None for _gather_flags over ``flags``
+    gather: Optional[Callable[[_Args], dict]] = None
 
 
 def _run_manifold_info(inp: dict) -> _Outcome:
@@ -278,17 +291,9 @@ def _run_manifold_info(inp: dict) -> _Outcome:
 
 
 _PAIR_FLAGS = _MODEL_FLAGS + (
-    _Flag("--a", str, "COEFFS", "first class, comma-separated"),
-    _Flag("--b", str, "COEFFS", "second class, comma-separated"),
+    _Flag("--a", str, "COEFFS", "first class, comma-separated", "a", parse_int_list),
+    _Flag("--b", str, "COEFFS", "second class, comma-separated", "b", parse_int_list),
 )
-
-
-def _gather_pair(args: _Args) -> dict:
-    return {
-        "model": _model_dict(args),
-        "a": parse_int_list(_require(args, "a", "--a")),
-        "b": parse_int_list(_require(args, "b", "--b")),
-    }
 
 
 def _run_pair(inp: dict) -> _Outcome:
@@ -311,17 +316,16 @@ def _run_pair(inp: dict) -> _Outcome:
 
 
 _REFLECT_FLAGS = _MODEL_FLAGS + (
-    _Flag("--mirror", str, "COEFFS", "class defining the reflection"),
-    _Flag("--target", str, "COEFFS", "class to reflect"),
+    _Flag(
+        "--mirror",
+        str,
+        "COEFFS",
+        "class defining the reflection",
+        "mirror",
+        parse_int_list,
+    ),
+    _Flag("--target", str, "COEFFS", "class to reflect", "target", parse_int_list),
 )
-
-
-def _gather_reflect(args: _Args) -> dict:
-    return {
-        "model": _model_dict(args),
-        "mirror": parse_int_list(_require(args, "mirror", "--mirror")),
-        "target": parse_int_list(_require(args, "target", "--target")),
-    }
 
 
 def _run_reflect(inp: dict) -> _Outcome:
@@ -347,21 +351,18 @@ def _run_reflect(inp: dict) -> _Outcome:
 
 
 _ORBIT_FLAGS = _MODEL_FLAGS + (
-    _Flag("--seed", str, "COEFFS", "starting class"),
-    _Flag("--bound", int, None, "coefficient bound for the BFS"),
-    _Flag("--generators", str, "NAMES", "subset of generators, e.g. s0,s1"),
+    _Flag("--seed", str, "COEFFS", "starting class", "seed", parse_int_list),
+    _Flag("--bound", int, None, "coefficient bound for the BFS", "bound"),
+    _Flag(
+        "--generators",
+        str,
+        "NAMES",
+        "subset of generators, e.g. s0,s1",
+        "generators",
+        _split_list,
+        optional=True,
+    ),
 )
-
-
-def _gather_orbit(args: _Args) -> dict:
-    inp = {
-        "model": _model_dict(args),
-        "seed": parse_int_list(_require(args, "seed", "--seed")),
-        "bound": _require(args, "bound", "--bound"),
-    }
-    if args.generators is not None:
-        inp["generators"] = _split_list(args.generators)
-    return inp
 
 
 def _run_orbit(inp: dict) -> _Outcome:
@@ -397,16 +398,17 @@ _PERIOD_FLAGS = _MODEL_FLAGS + (
         str,
         "Q,Q,...",
         "exact rationals: rational model lam,mu1,..; ruled fib,sec,mu1,..",
+        "periods",
+        _split_list,
     ),
 )
 
 
 def _gather_periods(args: _Args) -> dict:
-    model_d = _model_dict(args)
+    given = _gather_flags(args, _PERIOD_FLAGS)
     # the library's reader and key table, so the flag accepts what an
     # --input payload does and only weyl knows the payload's shape
-    values = _split_list(_require(args, "periods", "--periods"))
-    return {"periods": periods_json(model_d, values)}
+    return {"periods": periods_json(given["model"], given["periods"])}
 
 
 def _run_reduce_periods(inp: dict) -> _Outcome:
@@ -423,17 +425,14 @@ def _run_reduce_periods(inp: dict) -> _Outcome:
 
 
 _REDUCE_CLASS_FLAGS = _MODEL_FLAGS + (
-    _Flag("--coeffs", str, "COEFFS", "square -1 class to reduce"),
+    _Flag(
+        "--coeffs", str, "COEFFS", "square -1 class to reduce", "coeffs", parse_int_list
+    ),
 )
 
 
 def _gather_reduce_class(args: _Args) -> dict:
-    return {
-        "target": {
-            "model": _model_dict(args),
-            "coeffs": parse_int_list(_require(args, "coeffs", "--coeffs")),
-        }
-    }
+    return {"target": _gather_flags(args, _REDUCE_CLASS_FLAGS)}
 
 
 def _run_reduce_class(inp: dict) -> _Outcome:
@@ -527,24 +526,27 @@ def _run_coxeter_finite(inp: dict) -> _Outcome:
 
 
 _CRYSTAL_CHECK_FLAGS = (
-    _Flag("--system", str, "NAME", "named system"),
+    _Flag("--system", str, "NAME", "named system", "system"),
     _Flag(
         "--short",
         str,
         "NAMES",
         "generators kept at square -1 (default: the standard split)",
+        "short",
+        _split_list,
+        optional=True,
     ),
 )
 
 
 def _gather_crystal_check(args: _Args) -> dict:
-    name = _require(args, "system", "--system")
-    if args.short is None:
-        struct = standard_crystal(name)
-    else:
+    given = _gather_flags(args, _CRYSTAL_CHECK_FLAGS)
+    if "short" in given:
         struct = CrystallographicStructure(
-            from_name(name), frozenset(_split_list(args.short))
+            from_name(given["system"]), frozenset(given["short"])
         )
+    else:
+        struct = standard_crystal(given["system"])
     return {"crystal": struct.to_json_dict()}
 
 
@@ -592,16 +594,9 @@ _VERDICT_TEXT = {
 
 
 _SW_CHECK_FLAGS = (
-    _Flag("--k", int, None, "degree against the line class"),
-    _Flag("--m", str, "INTS", "multiplicities, comma-separated"),
+    _Flag("--k", int, None, "degree against the line class", "k"),
+    _Flag("--m", str, "INTS", "multiplicities, comma-separated", "m", parse_int_list),
 )
-
-
-def _gather_sw_check(args: _Args) -> dict:
-    return {
-        "k": _require(args, "k", "--k"),
-        "m": parse_int_list(_require(args, "m", "--m")),
-    }
 
 
 def _run_sw_check(inp: dict) -> _Outcome:
@@ -633,16 +628,9 @@ def _run_sw_check(inp: dict) -> _Outcome:
 
 
 _SW_SEARCH_FLAGS = (
-    _Flag("--ell", int, None, "number of exceptional classes"),
-    _Flag("--k-max", int, None, "largest degree to scan"),
+    _Flag("--ell", int, None, "number of exceptional classes", "blowups"),
+    _Flag("--k-max", int, None, "largest degree to scan", "k_max"),
 )
-
-
-def _gather_sw_search(args: _Args) -> dict:
-    return {
-        "blowups": _require(args, "ell", "--ell"),
-        "k_max": _require(args, "k_max", "--k-max"),
-    }
 
 
 def _run_sw_search(inp: dict) -> _Outcome:
@@ -664,16 +652,9 @@ def _run_sw_search(inp: dict) -> _Outcome:
 
 
 _EXTREMAL_FLAGS = (
-    _Flag("--k", int, None, "degree against the line class"),
-    _Flag("--ell", int, None, "number of exceptional classes"),
+    _Flag("--k", int, None, "degree against the line class", "k"),
+    _Flag("--ell", int, None, "number of exceptional classes", "blowups"),
 )
-
-
-def _gather_extremal(args: _Args) -> dict:
-    return {
-        "k": _require(args, "k", "--k"),
-        "blowups": _require(args, "ell", "--ell"),
-    }
 
 
 def _run_extremal(inp: dict) -> _Outcome:
@@ -694,21 +675,20 @@ def _run_extremal(inp: dict) -> _Outcome:
     return _Outcome(result, lines)
 
 
+def _parse_rows(text: str) -> list[list[int]]:
+    return [parse_int_list(row) for row in text.split(";")]
+
+
 _DECOMPOSE_FLAGS = (
     _Flag(
         "--matrix",
         str,
         "ROWS",
         "3x3 integer matrix, rows ; separated: a,b,c;d,e,f;g,h,i",
+        "matrix",
+        _parse_rows,
     ),
 )
-
-
-def _gather_decompose(args: _Args) -> dict:
-    rows = [
-        parse_int_list(row) for row in _require(args, "matrix", "--matrix").split(";")
-    ]
-    return {"matrix": rows}
 
 
 def _run_decompose(inp: dict) -> _Outcome:
@@ -768,7 +748,6 @@ _COMMANDS = {
             "manifold-info",
             "basis, intersection form and generators of a model",
             _MODEL_FLAGS,
-            _gather_model_only,
             _run_manifold_info,
             ("lattice", "weyl"),
         ),
@@ -776,7 +755,6 @@ _COMMANDS = {
             "pair",
             "intersection pairing of two classes",
             _PAIR_FLAGS,
-            _gather_pair,
             _run_pair,
             ("lattice",),
         ),
@@ -784,7 +762,6 @@ _COMMANDS = {
             "reflect",
             "reflect a class along a square -1 or -2 class",
             _REFLECT_FLAGS,
-            _gather_reflect,
             _run_reflect,
             ("lattice",),
         ),
@@ -792,7 +769,6 @@ _COMMANDS = {
             "orbit",
             "bounded breadth-first orbit of a class",
             _ORBIT_FLAGS,
-            _gather_orbit,
             _run_orbit,
             ("lattice", "weyl"),
         ),
@@ -800,31 +776,30 @@ _COMMANDS = {
             "reduce-periods",
             "move a period vector into the fundamental domain",
             _PERIOD_FLAGS,
-            _gather_periods,
             _run_reduce_periods,
             ("weyl",),
+            _gather_periods,
         ),
         _Command(
             "reduce-class",
             "move a square -1 class onto the last exceptional class",
             _REDUCE_CLASS_FLAGS,
-            _gather_reduce_class,
             _run_reduce_class,
             ("lattice", "weyl"),
+            _gather_reduce_class,
         ),
         _Command(
             "lagrangian-system",
             "zero-period wall classes of a reduced vector, with their type",
             _PERIOD_FLAGS,
-            _gather_periods,
             _run_lagrangian,
             ("weyl",),
+            _gather_periods,
         ),
         _Command(
             "coxeter-check",
             "verify the generator product orders against the expected graph",
             _MODEL_FLAGS,
-            _gather_model_only,
             _run_coxeter_check,
             ("lattice", "weyl"),
         ),
@@ -832,23 +807,22 @@ _COMMANDS = {
             "coxeter-finite",
             "finite or infinite, by exact leading minors",
             _COXETER_FINITE_FLAGS,
-            _gather_coxeter_finite,
             _run_coxeter_finite,
             ("coxeter",),
+            _gather_coxeter_finite,
         ),
         _Command(
             "crystal-check",
             "short/long split preserves the integer lattice (two routes)",
             _CRYSTAL_CHECK_FLAGS,
-            _gather_crystal_check,
             _run_crystal_check,
             ("coxeter",),
+            _gather_crystal_check,
         ),
         _Command(
             "sw-check",
             "certify a candidate sphere class",
             _SW_CHECK_FLAGS,
-            _gather_sw_check,
             _run_sw_check,
             ("sw",),
         ),
@@ -856,7 +830,6 @@ _COMMANDS = {
             "sw-search",
             "scan for irreducible candidates; exit 2 when any are found",
             _SW_SEARCH_FLAGS,
-            _gather_sw_search,
             _run_sw_search,
             ("sw",),
         ),
@@ -864,7 +837,6 @@ _COMMANDS = {
             "extremal",
             "multiplicity vector maximizing the square at fixed degree",
             _EXTREMAL_FLAGS,
-            _gather_extremal,
             _run_extremal,
             ("sw",),
         ),
@@ -872,7 +844,6 @@ _COMMANDS = {
             "decompose-o12",
             "write a form- and cone-preserving 3x3 matrix as a generator word",
             _DECOMPOSE_FLAGS,
-            _gather_decompose,
             _run_decompose,
             ("catalog", "lattice"),
         ),
@@ -880,9 +851,9 @@ _COMMANDS = {
             "describe",
             "structure of the cone-preserving diffeotopy image",
             _DESCRIBE_FLAGS,
-            _gather_describe,
             _run_describe,
             ("catalog", "lattice"),
+            _gather_describe,
         ),
     )
 }
@@ -1021,6 +992,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if _direct_flags_given(args):
                 raise UsageError("pass either --input or direct flags, not both")
             inp = _load_input(args.input)
+        elif cmd.gather is None:
+            inp = _gather_flags(args, cmd.flags)
         else:
             inp = cmd.gather(args)
         outcome = cmd.run(inp)

@@ -1,11 +1,11 @@
-"""Coxeter systems, geometric representations and crystallographic structures.
+"""Coxeter systems, their Gram matrices and crystallographic structures.
 
 A Coxeter system is stored as a symmetric matrix of pair orders with 1 on the
 diagonal and off-diagonal entries in {2, 3, 4, oo}; larger finite labels never
 occur for the groups treated here and are rejected.  The geometric
 representation places one basis vector per generator with <e_j, e_j> = -1 and
 <e_i, e_j> = cos(pi/m_ij), all of which lies in Q(sqrt2), so every
-definiteness or order computation below is exact.
+definiteness computation below is exact.
 
 Finite type is decided by Sylvester's criterion on the negated Gram matrix.
 A crystallographic structure is a split of the generators into short and long
@@ -294,21 +294,7 @@ def from_name(name: str) -> CoxeterSystem:
 
 
 # ---------------------------------------------------------------------------
-# geometric representation
-
-
-def _mat_identity(n: int) -> tuple[tuple[QSqrt2, ...], ...]:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
-        for row in a
-    )
+# the Gram matrix of the geometric representation
 
 
 def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
@@ -320,44 +306,6 @@ def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
         )
         for i in range(n)
     )
-
-
-class GeometricRepresentation(Record):
-    """Exact reflection matrices of a Coxeter system on its root space."""
-
-    system: CoxeterSystem
-    gram: tuple[tuple[QSqrt2, ...], ...]
-    generators: tuple[tuple[tuple[QSqrt2, ...], ...], ...]
-
-    def generator(self, name: str):
-        return self.generators[self.system.index(name)]
-
-
-def build_geometric_representation(system: CoxeterSystem) -> GeometricRepresentation:
-    """Basis vectors of square -1 with <e_i, e_j> = cos(pi/m_ij).
-
-    The sign convention makes wall classes of square -2 correspond to sqrt2
-    times a basis vector, so the representation embeds directly into the
-    homology lattices used elsewhere.
-    """
-    n = system.rank
-    gram = _gram(system)
-    gens = []
-    for j in range(n):
-        rows = []
-        for r in range(n):
-            if r != j:
-                rows.append(tuple(ONE if c == r else ZERO for c in range(n)))
-            else:
-                # sigma_j adds 2<x, e_j> to the e_j coordinate
-                rows.append(
-                    tuple(
-                        (ONE if c == j else ZERO) + 2 * gram[c][j]
-                        for c in range(n)
-                    )
-                )
-        gens.append(tuple(rows))
-    return GeometricRepresentation(system, gram, tuple(gens))
 
 
 def _eliminate_negated_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
@@ -406,25 +354,6 @@ def is_finite_type(system: CoxeterSystem) -> bool:
 def gram_determinant(system: CoxeterSystem) -> QSqrt2:
     """Determinant of the negated Gram matrix (0 for affine systems)."""
     return _eliminate_negated_gram(system)[0]
-
-
-def generator_product_order(
-    rep: GeometricRepresentation, a: str, b: str, cap: int = 64
-) -> Optional[int]:
-    """Order of sigma_a sigma_b in the geometric representation.
-
-    Returns None when the order exceeds ``cap`` (in particular for infinite
-    dihedral pairs).  Exact matrix arithmetic, no tolerance anywhere.
-    """
-    n = rep.system.rank
-    prod = _mat_mul(rep.generator(a), rep.generator(b))
-    ident = _mat_identity(n)
-    power = prod
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = _mat_mul(power, prod)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .base import LatticeError, Record
 
@@ -293,23 +293,6 @@ class LatticeAutomorphism(Record):
         """
         model = self.model
         return self._product((1,) * model.head + (0,) * model.blowups)[0] > 0
-
-    def inverse(self) -> "LatticeAutomorphism":
-        """G M^T G; valid because the matrix preserves the form and G^2 = 1."""
-        if not self.preserves_form():
-            raise LatticeError("cannot invert a matrix that does not preserve the form")
-        g = self.model.gram
-        n = self.model.rank
-        mt = tuple(zip(*self.matrix))
-        gm = tuple(
-            tuple(sum(g[i][k] * mt[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        rows = tuple(
-            tuple(sum(gm[i][k] * g[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return LatticeAutomorphism(self.model, rows)
 
     def to_json_dict(self) -> dict:
         return {"model": self.model.to_json_dict(), "matrix": [list(r) for r in self.matrix]}

@@ -21,8 +21,8 @@ class QSqrt2:
 
     Stored as integers ``(a*d, b*d, d)`` over the least positive common
     denominator ``d``, so equal numbers have equal fields.  Only ``a``,
-    ``b``, ``to_fraction``, ``repr`` and the hash of a rational non-integer
-    build ``Fraction``s, importing ``fractions`` on first use; so does the
+    ``b``, ``repr`` and the hash of a rational non-integer build
+    ``Fraction``s, importing ``fractions`` on first use; so does the
     constructor when given anything but two ints.
     """
 
@@ -157,15 +157,6 @@ class QSqrt2:
         # multiply by the conjugate c - e*sqrt2 and divide by the norm
         f = other._d
         return _new((a * c - 2 * b * e) * f, (b * c - a * e) * f, self._d * norm)
-
-    def __float__(self) -> float:
-        return self._p / self._d + self._q / self._d * 1.4142135623730951
-
-    def to_fraction(self):
-        """The value as a Fraction; raises if the sqrt2 part is nonzero."""
-        if self._q != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def is_integer(self) -> bool:
         return self._q == 0 and self._d == 1

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 from enum import Enum
 from math import isqrt
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .base import Record, SWError
-
-if TYPE_CHECKING:
-    from .lattice import HomologyClass
 
 
 class OutOfRegimeError(SWError):
@@ -66,12 +63,6 @@ class SphereCandidate(Record):
     def normalized(self) -> "SphereCandidate":
         """Twists and transpositions sort the m_i nonnegative descending."""
         return SphereCandidate(self.k, tuple(sorted(map(abs, self.m), reverse=True)))
-
-    def to_class(self) -> HomologyClass:
-        from .lattice import HomologyClass, rational_model
-
-        model = rational_model(len(self.m))
-        return HomologyClass(model, (self.k,) + tuple(-x for x in self.m))
 
     def __str__(self) -> str:
         return f"({self.k}; {','.join(str(x) for x in self.m)})"

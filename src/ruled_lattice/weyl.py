@@ -46,7 +46,6 @@ from .lattice import (
     exceptional_class,
     fiber_pair_wall,
     line_triple_wall,
-    pairing,
     positive_cone_contains,
     reflect_coeffs,
     reflection_along,
@@ -209,10 +208,12 @@ def _product_order(
     """Order of ``then`` after ``first`` on Z^rank; None when above ``cap``.
 
     The order is the lcm of the periods of the basis vectors, each followed
-    through the sparse root actions.
+    through the sparse root actions.  A basis vector outside both dual
+    supports pairs to zero with both roots and is fixed, so only the others
+    are followed: O(1) vectors, not ``rank``.
     """
     order = 1
-    for i in range(rank):
+    for i in {j for j, _ in first[0] + then[0]}:
         start = (0,) * i + (1,) + (0,) * (rank - i - 1)
         v = start
         for k in range(1, cap + 1):
@@ -889,8 +890,9 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     edges = []
     adj: dict[str, list[str]] = {n: [] for n in names}
     for i, (na, ca) in enumerate(members):
+        dual = gens.root_action(na)[0]  # ca.cb over the support of ca only
         for nb, cb in members[i + 1 :]:
-            val = pairing(ca, cb)
+            val = sum(cb.coeffs[j] * g for j, g in dual)
             if val not in (-1, 0, 1):
                 raise InternalConsistencyError(
                     f"wall classes {na}, {nb} pair to {val}"

@@ -19,7 +19,6 @@ from ruled_lattice.catalog import (
     homotopically_trivial_part,
     o12_generators,
     o12_model,
-    random_o12_word,
     O12_GENERATOR_NAMES,
 )
 from ruled_lattice.lattice import (
@@ -193,6 +192,10 @@ def test_decompose_single_generators():
     for name, g in gens.items():
         word = decompose_O12(g)
         assert evaluate_o12_word(word) == g
+
+
+def random_o12_word(length: int, rng: random.Random) -> GroupWord:
+    return GroupWord(tuple(rng.choice(O12_GENERATOR_NAMES) for _ in range(length)))
 
 
 def test_decompose_random_round_trips():

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -205,6 +206,49 @@ def test_plain_parser_reads_well_formed_calls(argv):
         assert _check_plain_parser(call), call
     assert _check_plain_parser([argv[0], "--input=payload.json"])
     assert _check_plain_parser([argv[0]])
+
+
+# every subcommand's required flags, in the order their errors come; "model"
+# is --model with --ell, whose absence gives one message; coxeter-finite and
+# describe require it when they are called without --system or --label
+REQUIRED = {
+    "manifold-info": ("model",),
+    "pair": ("model", "--a", "--b"),
+    "reflect": ("model", "--mirror", "--target"),
+    "orbit": ("model", "--seed", "--bound"),
+    "reduce-periods": ("model", "--periods"),
+    "reduce-class": ("model", "--coeffs"),
+    "lagrangian-system": ("model", "--periods"),
+    "coxeter-check": ("model",),
+    "coxeter-finite": ("model",),
+    "crystal-check": ("--system",),
+    "sw-check": ("--k", "--m"),
+    "sw-search": ("--ell", "--k-max"),
+    "extremal": ("--k", "--ell"),
+    "decompose-o12": ("--matrix",),
+    "describe": ("model",),
+}
+
+_BY_MODEL = {
+    "coxeter-finite": ["coxeter-finite", "--model=rational", "--ell=5"],
+    "describe": ["describe", "--model=ruled", "--ell=3"],
+}
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda a: a[0])
+def test_missing_required_flags_are_named_in_order(capsys, argv):
+    argv = _BY_MODEL.get(argv[0], argv)
+    required = REQUIRED[argv[0]]
+    assert set(REQUIRED) == set(_COMMANDS)
+    for i, flag in enumerate(required):
+        later = {"--model" if f == "model" else f for f in required[i + 1 :]}
+        for missing in ("--model", "--ell") if flag == "model" else (flag,):
+            call = [w for w in argv if w.split("=")[0] not in later | {missing}]
+            if flag == "model":
+                expected = "error: --model and --ell are required (or use --input)\n"
+            else:
+                expected = f"error: {flag} is required (or use --input)\n"
+            assert run(capsys, *call) == (EXIT_USAGE, "", expected), call
 
 
 # each is a word, or two, that argparse reads differently or refuses
@@ -424,6 +468,25 @@ def test_input_from_stdin(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "sw-check", "--input", "-")
     assert code == EXIT_OK
     assert "constraint" in out.lower()
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "cli_corpus.json")
+
+
+def test_standard_corpus_is_unchanged(capsys, monkeypatch):
+    # exit code and digests of stdout and stderr of every run of the standard
+    # corpus; data/make_cli_corpus.py writes the file and says when to
+    with open(CORPUS) as fh:
+        runs = json.load(fh)
+    outputs = []
+    for case in runs:
+        stdin = "" if case["stdin"] is None else outputs[case["stdin"]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *case["argv"])
+        outputs.append(out)
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+        assert [code, *digests] == [case["code"], case["stdout"], case["stderr"]], case["argv"]
+    assert len(runs) == 238
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from ruled_lattice.coxeter import (
     L3_4inf,
     L3_44,
     L4_344,
-    build_geometric_representation,
+    _gram,
     crystallographic_lattice_invariance,
     from_name,
-    generator_product_order,
     gram_determinant,
     is_finite_type,
     linear,
@@ -171,14 +170,59 @@ def test_elimination_matches_leibniz_minors():
         assert is_finite_type(system) == all(d > 0 for d in minors), system
 
 
+# ---------------------------------------------------------------------------
+# the dense geometric representation, a reference route
+
+
+def _mat_identity(n: int):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def _mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
+        for row in a
+    )
+
+
+def _geometric_generators(system):
+    """Exact reflection matrices on the root space, one per generator.
+
+    Basis vectors have square -1 and <e_i, e_j> = cos(pi/m_ij); sigma_j
+    adds 2<x, e_j> to the e_j coordinate, so only its row j differs from
+    the identity.
+    """
+    n = system.rank
+    gram = _gram(system)
+    gens = []
+    for j in range(n):
+        rows = list(_mat_identity(n))
+        rows[j] = tuple((ONE if c == j else ZERO) + 2 * gram[c][j] for c in range(n))
+        gens.append(tuple(rows))
+    return tuple(gens)
+
+
+def _product_order(system, a: str, b: str, cap: int = 64):
+    """Order of sigma_a sigma_b by exact matrix powers; None above ``cap``."""
+    gens = _geometric_generators(system)
+    prod = _mat_mul(gens[system.index(a)], gens[system.index(b)])
+    ident = _mat_identity(system.rank)
+    power = prod
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = _mat_mul(power, prod)
+    return None
+
+
 def test_product_orders_match_graph_labels():
-    rep = build_geometric_representation(type_BE(5))
-    assert generator_product_order(rep, "s1", "s1") == 1
-    assert generator_product_order(rep, "s1", "s2") == 3
-    assert generator_product_order(rep, "s3", "s4") == 4
-    assert generator_product_order(rep, "s0", "s4") == 2
-    rep_inf = build_geometric_representation(I2_inf())
-    assert generator_product_order(rep_inf, "s1", "s1*") is None
+    be5 = type_BE(5)
+    assert _product_order(be5, "s1", "s1") == 1
+    assert _product_order(be5, "s1", "s2") == 3
+    assert _product_order(be5, "s3", "s4") == 4
+    assert _product_order(be5, "s0", "s4") == 2
+    assert _product_order(I2_inf(), "s1", "s1*") is None
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +269,10 @@ def test_bad_splits_fail_both_routes(name, short):
 
 def _dense_violations(struct):
     """The matrix route on every entry of every dense generator matrix."""
-    rep = build_geometric_representation(struct.system)
     names = struct.system.names
     scales = [struct.scale(n) for n in names]
     bad = []
-    for g, gen in zip(names, rep.generators):
+    for g, gen in zip(names, _geometric_generators(struct.system)):
         for r, c in itertools.product(range(len(names)), repeat=2):
             entry = gen[r][c] * scales[c] / scales[r]
             if not entry.is_integer():

@@ -284,18 +284,6 @@ def test_composition_applies_right_factor_first():
     assert (t1 @ s1).apply(e1).coeffs == (0, 0, 1, 0)
 
 
-def test_inverse_by_gram_transpose():
-    r = reflection_along(line_triple_wall(R3))
-    s = reflection_along(adjacent_difference(R3, 2))
-    m = r @ s @ r
-    assert m.preserves_form()
-    ident = LatticeAutomorphism.identity(R3)
-    assert (m @ m.inverse()).matrix == ident.matrix
-    assert (m.inverse() @ m).matrix == ident.matrix
-    with pytest.raises(LatticeError):
-        LatticeAutomorphism(R3, tuple(tuple(2 * x for x in row) for row in ident.matrix)).inverse()
-
-
 def test_cone_preservation_flag():
     ident = LatticeAutomorphism.identity(R3)
     assert ident.is_cone_preserving()

@@ -25,7 +25,6 @@ def _samples() -> dict:
     e1 = lattice.exceptional_class(model, 1)
     gens = weyl.generator_set(model)
     a2 = coxeter.from_name("A2")
-    rep = coxeter.build_geometric_representation(a2)
     word = weyl.GroupWord(("s1", "s2"))
     entry = weyl.PresentationEntry("s0", "s1", 3, 3)
     periods = weyl.rational_periods(3, 6, (3, 2, 1))
@@ -45,7 +44,6 @@ def _samples() -> dict:
         weyl.LagrangianSystem: (model, ("s1",), (e1 - e1,), a2, ("A1",)),
         weyl.MaximalMembership: ("A2", ("s1", "s2")),
         coxeter.CoxeterSystem: (a2.names, a2.matrix, "A2"),
-        coxeter.GeometricRepresentation: (a2, rep.gram, rep.generators),
         coxeter.CrystallographicStructure: (a2, frozenset({"s1"})),
         coxeter.CrystalReport: (False, ("s1-s2",)),
         sw.SphereCandidate: (3, (2, 1, 1)),
@@ -59,8 +57,8 @@ def _samples() -> dict:
         catalog.BlackBox: ("Torelli",),
         catalog.GroupDescription: ("Symp", z2, ("a note",)),
         cli._Outcome: ({"ok": True}, ("ok",), cli.EXIT_FOUND),
-        cli._Command: ("name", "help", print, print, print, ("lattice",)),
-        cli._Flag: ("--ell", int, None, "number of exceptional classes"),
+        cli._Command: ("name", "help", print, print, ("lattice",), print),
+        cli._Flag: ("--generators", str, "NAMES", "subset", "generators", print, True),
     }
 
 

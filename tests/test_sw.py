@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruled_lattice.sw import (
-    CertifyResult,
     OutOfRegimeError,
     OutOfScopeError,
     SphereCandidate,
@@ -40,13 +39,6 @@ def test_candidate_normalization():
     assert not c.is_normalized()
     assert c.normalized() == SphereCandidate(2, (2, 1, 1, 0))
     assert c.normalized().q == c.q  # twists and swaps preserve the square
-
-
-def test_candidate_to_class():
-    c = SphereCandidate(2, (1, 1, 0))
-    h = c.to_class()
-    assert h.coeffs == (2, -1, -1, 0)
-    assert h.square == -c.q
 
 
 def test_candidate_rejects_non_integers():

@@ -15,6 +15,7 @@ from ruled_lattice.lattice import (
     LatticeError,
     ModelMismatchError,
     exceptional_class,
+    pairing,
     positive_cone_contains,
     rational_model,
     reflect_coeffs,
@@ -121,6 +122,29 @@ def test_presentation_orders_match_dense_matrix_powers(model):
                 gens.class_of(e.b)
             )
             assert e.computed == _dense_order(product, cap), (e.a, e.b, cap)
+
+
+def test_product_order_follows_only_the_support_union(monkeypatch):
+    # a basis vector pairing to zero with both roots is fixed by both, so a
+    # pair follows only the union of the two dual supports, each vector for
+    # at most the pair's order in steps of two reflections
+    gens = generator_set(rational_model(30))
+    calls = 0
+
+    def counting(action, coeffs):
+        nonlocal calls
+        calls += 1
+        return reflect_coeffs(action, coeffs)
+
+    monkeypatch.setattr(weyl, "reflect_coeffs", counting)
+    for i, a in enumerate(gens.names):
+        for b in gens.names[i + 1 :]:
+            first, then = gens.root_action(b), gens.root_action(a)
+            calls = 0
+            order = weyl._product_order(first, then, gens.model.rank, 16)
+            union = {j for j, _ in first[0] + then[0]}
+            assert calls <= 2 * order * len(union), (a, b, calls)
+    assert verify_presentation(gens).ok
 
 
 def test_expected_system_labels_and_orders():
@@ -676,6 +700,29 @@ def test_lagrangian_system_requires_reduced_input():
         lagrangian_system(rational_periods(3, 3, (1, 1, 2)))
     with pytest.raises(NotReducedError):
         lagrangian_system(rational_periods(3, 1, (1, 1, 1)))
+
+
+def test_lagrangian_system_pairs_members_through_their_root_actions(monkeypatch):
+    # the dense pairing of rank-(l+1) classes made l = 1000 take about 30 s;
+    # members pair through their sparse dual parts instead (weyl no longer
+    # imports pairing, hence raising=False)
+    def unused(*args):
+        raise AssertionError("lagrangian_system called the dense pairing")
+
+    monkeypatch.setattr(weyl, "pairing", unused, raising=False)
+    cases = [
+        rational_periods(5, 3, (1, 1, 1, 1, 1)),
+        rational_periods(6, 3, (1,) * 6),
+        ruled_periods(4, 2, 7, (1, 1, 1, 1)),
+        rational_periods(40, 120, (1,) * 40),
+    ]
+    for p in cases:
+        sys = lagrangian_system(p)
+        members = list(zip(sys.member_names, sys.member_classes))
+        for i, (na, ca) in enumerate(members):
+            for nb, cb in members[i + 1 :]:
+                assert (sys.system.order(na, nb) == 3) == (pairing(ca, cb) != 0), (na, nb)
+    assert sys.label == "A39"
 
 
 def test_lagrangian_system_json_shape():

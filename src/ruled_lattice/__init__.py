@@ -27,6 +27,7 @@ _EXPORTS = {
         "INF",
         "crystallographic_lattice_invariance",
         "from_name",
+        "gram_determinant",
         "is_finite_type",
         "standard_crystal",
         "verify_crystallographic",
@@ -46,7 +47,9 @@ _EXPORTS = {
         "pairing",
         "positive_cone_contains",
         "rational_model",
+        "reflect_coeffs",
         "reflection_along",
+        "root_action",
         "ruled_model",
         "section_class",
     ),
@@ -75,6 +78,7 @@ _EXPORTS = {
         "lagrangian_system",
         "maximal_system_membership",
         "orbit",
+        "periods_json",
         "rational_periods",
         "reduce_class",
         "reduce_periods",

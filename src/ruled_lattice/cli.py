@@ -17,6 +17,7 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
+from . import _EXPORTS, _HOME
 from .base import (
     CoxeterError,
     InternalConsistencyError,
@@ -34,66 +35,18 @@ if TYPE_CHECKING:
     # and vars() only
     _Args = Namespace | SimpleNamespace
 
-# The library names the subcommands use, by home module.  A command names
-# the modules it needs and main binds their names into this module's globals
-# just before dispatch, so a cold call loads only what its subcommand uses
-# (a gather binds more itself on a path that needs more).  Binding never
-# replaces a name already set, so a wrapper installed with setattr (a
-# tracer, a test double) stays in place.
-_LIBRARY = {
-    "catalog": (
-        "decompose_O12",
-        "describe_diffeotopy",
-        "evaluate_o12_word",
-        "o12_model",
-    ),
-    "coxeter": (
-        "CoxeterSystem",
-        "CrystallographicStructure",
-        "crystallographic_lattice_invariance",
-        "from_name",
-        "gram_determinant",
-        "is_finite_type",
-        "standard_crystal",
-        "verify_crystallographic",
-    ),
-    "lattice": (
-        "HomologyClass",
-        "LatticeAutomorphism",
-        "ManifoldModel",
-        "pairing",
-        "reflect_coeffs",
-        "root_action",
-    ),
-    "sw": (
-        "SphereCandidate",
-        "Verdict",
-        "certify_sphere_class",
-        "dichotomy_search",
-        "extremal_sequence",
-        "sw_inequality_holds",
-    ),
-    "weyl": (
-        "NotReducedError",
-        "PeriodVector",
-        "expected_coxeter_system",
-        "generator_set",
-        "lagrangian_system",
-        "maximal_system_membership",
-        "orbit",
-        "periods_json",
-        "reduce_class",
-        "reduce_periods",
-        "verify_presentation",
-    ),
-}
-_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
 def _bind(modules: Sequence[str]) -> None:
+    """Bind the package's public names of ``modules`` into this module.
+
+    A command names the library modules it needs and main binds them just
+    before dispatch, so a cold call loads only what its subcommand uses (a
+    gather binds more itself on a path that needs more).  Binding never
+    replaces a name already set, so a wrapper installed with setattr (a
+    tracer, a test double) stays in place.
+    """
     for module in modules:
         lib = import_module(f".{module}", __package__)
-        for name in _LIBRARY[module]:
+        for name in _EXPORTS[module]:
             globals().setdefault(name, getattr(lib, name))
 
 
@@ -496,10 +449,16 @@ _COXETER_FINITE_FLAGS = _MODEL_FLAGS + (
 )
 
 
+def _named_target(args: _Args, flag: str) -> Optional[str]:
+    # --system and --label name their target, so they exclude the model flags
+    name = getattr(args, flag[2:])
+    if name is not None and (args.model, args.ell, args.genus) != (None, None, None):
+        raise UsageError(f"pass {flag} or --model/--ell, not both")
+    return name
+
+
 def _gather_coxeter_finite(args: _Args) -> dict:
-    if args.system is not None:
-        if args.model is not None or args.ell is not None or args.genus is not None:
-            raise UsageError("pass --system or --model/--ell, not both")
+    if _named_target(args, "--system") is not None:
         system = from_name(args.system)
     else:
         _bind(("lattice", "weyl"))  # only this path reads a model
@@ -719,9 +678,7 @@ _DESCRIBE_FLAGS = _MODEL_FLAGS + (
 
 
 def _gather_describe(args: _Args) -> dict:
-    if args.label is not None:
-        if args.model is not None or args.ell is not None or args.genus is not None:
-            raise UsageError("pass --label or --model/--ell, not both")
+    if _named_target(args, "--label") is not None:
         return {"target": {"label": args.label}}
     return {"target": {"model": _model_dict(args)}}
 
@@ -997,10 +954,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             inp = cmd.gather(args)
         outcome = cmd.run(inp)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LatticeError, CoxeterError, SWError) as exc:
+    except (UsageError, LatticeError, CoxeterError, SWError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:

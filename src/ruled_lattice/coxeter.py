@@ -308,17 +308,17 @@ def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
     )
 
 
-def _eliminate_negated_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
+def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
     """Determinant of -Gram and whether -Gram is positive definite.
 
-    One Gaussian elimination, exact over Q(sqrt2).  While no row swap has
-    been needed the k-th pivot is the ratio of the k-th to the (k-1)-th
-    leading principal minor, so Sylvester's criterion reads "every pivot is
-    positive"; a needed swap means a leading minor vanished.
+    One Gaussian elimination of Gram, exact over Q(sqrt2).  While no row
+    swap has been needed the k-th pivot is the ratio of the k-th to the
+    (k-1)-th leading principal minor, so -Gram is positive definite exactly
+    when every pivot is negative; a needed swap means a minor vanished.
     """
-    rows = [[-x for x in row] for row in _gram(system)]
+    rows = [list(row) for row in _gram(system)]
     n = len(rows)
-    det = ONE
+    det = -ONE if n % 2 else ONE  # det(-Gram) = (-1)^n det(Gram)
     definite = True
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
@@ -330,7 +330,7 @@ def _eliminate_negated_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
             definite = False
         pivot = rows[col][col]
         det = det * pivot
-        definite = definite and pivot.sign() > 0
+        definite = definite and pivot.sign() < 0
         # columns <= col are never read again, so only the pivot row's
         # nonzero entries to the right are subtracted
         tail = [(c, rows[col][c]) for c in range(col + 1, n) if rows[col][c]]
@@ -348,12 +348,12 @@ def is_finite_type(system: CoxeterSystem) -> bool:
     The group is finite exactly when the form <.,.> is negative definite,
     i.e. when every leading principal minor of -Gram is positive.
     """
-    return _eliminate_negated_gram(system)[1]
+    return _eliminate_gram(system)[1]
 
 
 def gram_determinant(system: CoxeterSystem) -> QSqrt2:
     """Determinant of the negated Gram matrix (0 for affine systems)."""
-    return _eliminate_negated_gram(system)[0]
+    return _eliminate_gram(system)[0]
 
 
 # ---------------------------------------------------------------------------

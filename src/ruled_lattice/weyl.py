@@ -515,9 +515,9 @@ class PeriodVector(Record):
     def from_json_dict(cls, data: dict) -> "PeriodVector":
         try:
             model = ManifoldModel.from_json_dict(data["model"])
-            if isinstance(data["exceptional"], str):
+            mus = data["exceptional"]
+            if not isinstance(mus, (list, tuple)):
                 raise LatticeError("'exceptional' must be a list of periods")
-            mus = tuple(data["exceptional"])
             head = [data[key] for key in _HEAD_KEYS[model.kind]]
             return _periods(model, head, mus)
         except (KeyError, TypeError, ValueError) as exc:
@@ -680,11 +680,6 @@ def _twist_word(l: int, i: int) -> list[str]:
     return up + [f"s{l}"] + list(reversed(up))
 
 
-def _transpositions(i: int, j: int) -> list[str]:
-    """Letters moving slot i to slot j by adjacent swaps (i < j)."""
-    return [f"s{k}" for k in range(i, j)]
-
-
 def _fiber_step_word(l: int, increment: bool) -> list[str]:
     """Letters for the isometry sending E_1 + kF to E_1 + (k +- 1)F.
 
@@ -722,9 +717,21 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
     coeffs = c.coeffs
 
     def apply(word_letters: Sequence[str]) -> None:
+        # the one place that moves the class, so the word records each letter
         nonlocal coeffs
         for letter in word_letters:
             coeffs = reflect_coeffs(gens.root_action(letter), coeffs)
+        letters.extend(word_letters)
+
+    def land(j: int, kind: str) -> ClassReduction:
+        # the class is +-E_j: twist a -E_j, move it up to slot l, check E_l
+        if coeffs[model.head + j - 1] == -1:
+            apply(_twist_word(l, j))
+        apply([f"s{k}" for k in range(j, l)])
+        final = HomologyClass._trusted(model, coeffs)
+        if final != exceptional_class(model, l):
+            raise InternalConsistencyError(f"{kind} reduction landed on {final}")
+        return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)
 
     if model.kind is Kind.RULED:
         if coeffs[0] != 0:
@@ -733,24 +740,12 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
             )
         j = next(i for i in range(1, l + 1) if coeffs[1 + i] != 0)
         if coeffs[1 + j] == -1:
-            apply(tw := _twist_word(l, j))
-            letters += tw
-        if j > 1:
-            # swap down to slot 1
-            down = [f"s{k}" for k in range(j - 1, 0, -1)]
-            apply(down)
-            letters += down
+            apply(_twist_word(l, j))
+        # swap down to slot 1
+        apply([f"s{k}" for k in range(j - 1, 0, -1)])
         while coeffs[1] != 0:
-            step = _fiber_step_word(l, increment=coeffs[1] < 0)
-            apply(step)
-            letters += step
-        if l > 1:
-            apply(up := _transpositions(1, l))
-            letters += up
-        final = HomologyClass._trusted(model, coeffs)
-        if final != exceptional_class(model, l):
-            raise InternalConsistencyError(f"ruled reduction landed on {final}")
-        return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)
+            apply(_fiber_step_word(l, increment=coeffs[1] < 0))
+        return land(1, "ruled")
 
     # rational model
     while True:
@@ -763,15 +758,13 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         # k > 0, the mirror order for k < 0
         for i in range(1, l + 1):
             if sign * coeffs[i] > 0:
-                apply(tw := _twist_word(l, i))
-                letters += tw
+                apply(_twist_word(l, i))
         swapped = True
         while swapped:
             swapped = False
             for i in range(1, l):
                 if sign * coeffs[i] > sign * coeffs[i + 1]:
                     apply([f"s{i}"])
-                    letters.append(f"s{i}")
                     swapped = True
         top3 = -(coeffs[1] + coeffs[2] + coeffs[3])
         if sign * (top3 - k) <= 0:
@@ -781,21 +774,10 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
                 stalled=HomologyClass._trusted(model, coeffs),
             )
         apply(["s0"])
-        letters.append("s0")
         if abs(coeffs[0]) >= abs(k):
             raise InternalConsistencyError("wall crossing failed to shrink k")
 
-    j = next(i for i in range(1, l + 1) if coeffs[i] != 0)
-    if coeffs[j] == -1:
-        apply(tw := _twist_word(l, j))
-        letters += tw
-    if j < l:
-        apply(up := _transpositions(j, l))
-        letters += up
-    final = HomologyClass._trusted(model, coeffs)
-    if final != exceptional_class(model, l):
-        raise InternalConsistencyError(f"rational reduction landed on {final}")
-    return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)
+    return land(next(i for i in range(1, l + 1) if coeffs[i] != 0), "rational")
 
 
 # ---------------------------------------------------------------------------

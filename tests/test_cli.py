@@ -616,6 +616,21 @@ def test_describe(capsys):
     assert "W(BD4)" in out
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("coxeter-finite", "--system", "E8", "--model", "rational", "--ell", "8"), "--system"),
+        (("coxeter-finite", "--system", "E8", "--ell", "8"), "--system"),
+        (("describe", "--label", "CP2", "--genus", "2"), "--label"),
+        (("describe", "--label", "CP2", "--model", "ruled"), "--label"),
+    ],
+)
+def test_a_named_target_excludes_the_model_flags(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: pass {flag} or --model/--ell, not both\n"
+
+
 def test_reduce_class_not_in_orbit_stays_zero(capsys):
     code, out, _ = run(
         capsys, "reduce-class", "--model", "rational", "--ell", "10",

@@ -444,6 +444,13 @@ def test_period_vector_json_round_trip(p):
 def test_period_vector_json_rejects_garbage():
     with pytest.raises(LatticeError):
         PeriodVector.from_json_dict({"model": {"kind": "rational", "blowups": 3}})
+    # a JSON object is not a list of periods, though its keys would read as one
+    model = {"kind": "rational", "blowups": 3, "genus": 0}
+    for bad in ({"3": 0, "2": 0, "1": 0}, "321", 3):
+        with pytest.raises(LatticeError, match="'exceptional' must be a list"):
+            PeriodVector.from_json_dict(
+                {"model": model, "line": 6, "exceptional": bad}
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +652,19 @@ def test_reduce_class_requires_square_minus_one():
         reduce_class(g, HomologyClass(R5, (0, 1, 0, 0, 0, 0)))
 
 
-@given(st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4"]), max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_reduce_class_recovers_scrambled_exceptionals(letters):
-    model = rational_model(4)
+SCRAMBLE_MODELS = [rational_model(l) for l in range(3, 12)] + [
+    ruled_model(l) for l in range(2, 8)
+]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_reduce_class_recovers_scrambled_exceptionals(data):
+    # both models over a range of ranks: rational l = 3..11, ruled l = 2..7
+    model = data.draw(st.sampled_from(SCRAMBLE_MODELS))
     g = generator_set(model)
-    seed = exceptional_class(model, 4)
+    letters = data.draw(st.lists(st.sampled_from(g.names), max_size=12))
+    seed = exceptional_class(model, model.blowups)
     moved = HomologyClass(
         model, GroupWord(tuple(letters)).apply_to_coeffs(g, seed.coeffs)
     )

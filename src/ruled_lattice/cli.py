@@ -983,23 +983,25 @@ def run() -> None:
 
     Once stdout and stderr are flushed teardown has nothing left to do for
     this program (it registers no atexit handler), so ``os._exit`` ends the
-    process at once.  When a flush fails (stdout is a closed pipe) the exit
-    goes through ``sys.exit``, whose teardown reports it as it always has.
-    So does every exit under a profiler, tracer or debugger (``python -m
-    cProfile -m ruled_lattice.cli``, ``coverage run``), which writes its
-    results after the program returns.  A wrapper that does its exit work
-    some other way (an ``atexit`` handler of its own) calls ``main()``,
-    which has no such side effect, like every caller that keeps running.
+    process at once.  A write that fails, in ``main()`` or at the flush
+    (stdout is a closed pipe, as after ``| head``), ends the call through
+    ``sys.exit(120)`` with no traceback; teardown reports output still
+    buffered as it does for any Python program.  Every exit under a profiler, tracer or
+    debugger (``python -m cProfile -m ruled_lattice.cli``, ``coverage run``)
+    goes through ``sys.exit`` too, since the tool writes its results after
+    the program returns.  A wrapper that does its exit work some other way
+    (an ``atexit`` handler of its own) calls ``main()``, which has no such
+    side effect, like every caller that keeps running.
     """
-    code = main()
-    if _observed():
-        sys.exit(code)
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
-    os._exit(code)
+        code = main()
+        if not _observed():
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    except OSError:  # only a write to stdout or stderr can raise it here
+        code = 120
+    sys.exit(code)
 
 
 if __name__ == "__main__":

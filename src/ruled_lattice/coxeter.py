@@ -179,15 +179,21 @@ def type_B(n: int) -> CoxeterSystem:
     return linear([3] * (n - 2) + [4], label=f"B{n}")
 
 
+def _chain_with_leg(n: int, leg: int, label: str, tail=3, leg_label=3) -> CoxeterSystem:
+    """s0..s_{n-1} as the chain s1..s_{n-1}, labelled 3 but for a final ``tail``,
+    with s0 joined to s_leg by ``leg_label`` when s_leg exists."""
+    names = tuple(f"s{i}" for i in range(n))
+    edges = [(f"s{i}", f"s{i+1}", 3 if i < n - 2 else tail) for i in range(1, n - 1)]
+    if leg < n:
+        edges.append(("s0", f"s{leg}", leg_label))
+    return system_from_edges(names, edges, label=label)
+
+
 def type_D(n: int) -> CoxeterSystem:
     """Chain s1..s_{n-1} plus s0 attached to s2; D_2 is two commuting nodes."""
     if n < 2:
         raise CoxeterError("D_n needs n >= 2")
-    names = tuple(f"s{i}" for i in range(n))
-    chain = [(f"s{i}", f"s{i+1}", 3) for i in range(1, n - 1)]
-    if n >= 3:
-        chain.append(("s0", "s2", 3))
-    return system_from_edges(names, chain, label=f"D{n}")
+    return _chain_with_leg(n, 2, f"D{n}")
 
 
 def type_E(n: int) -> CoxeterSystem:
@@ -198,22 +204,14 @@ def type_E(n: int) -> CoxeterSystem:
     """
     if n < 3:
         raise CoxeterError("E_n needs n >= 3")
-    names = tuple(f"s{i}" for i in range(n))
-    chain = [(f"s{i}", f"s{i+1}", 3) for i in range(1, n - 1)]
-    if n >= 4:
-        chain.append(("s0", "s3", 3))
-    return system_from_edges(names, chain, label=f"E{n}")
+    return _chain_with_leg(n, 3, f"E{n}")
 
 
 def type_BE(n: int) -> CoxeterSystem:
     """Rank n >= 5: chain s1..s_{n-1} with final label 4, s0 attached to s3."""
     if n < 5:
         raise CoxeterError("BE_n needs n >= 5")
-    names = tuple(f"s{i}" for i in range(n))
-    chain = [(f"s{i}", f"s{i+1}", 3) for i in range(1, n - 2)]
-    chain.append((f"s{n-2}", f"s{n-1}", 4))
-    chain.append(("s0", "s3", 3))
-    return system_from_edges(names, chain, label=f"BE{n}")
+    return _chain_with_leg(n, 3, f"BE{n}", tail=4)
 
 
 def type_BD(n: int) -> CoxeterSystem:
@@ -223,11 +221,7 @@ def type_BD(n: int) -> CoxeterSystem:
     """
     if n < 4:
         raise CoxeterError("BD_n needs n >= 4")
-    names = tuple(f"s{i}" for i in range(n))
-    chain = [(f"s{i}", f"s{i+1}", 3) for i in range(1, n - 2)]
-    chain.append((f"s{n-2}", f"s{n-1}", 4))
-    chain.append(("s0", "s2", 3))
-    return system_from_edges(names, chain, label=f"BD{n}")
+    return _chain_with_leg(n, 2, f"BD{n}", tail=4)
 
 
 def L4_344() -> CoxeterSystem:

@@ -294,18 +294,6 @@ class LatticeAutomorphism(Record):
         model = self.model
         return self._product((1,) * model.head + (0,) * model.blowups)[0] > 0
 
-    def to_json_dict(self) -> dict:
-        return {"model": self.model.to_json_dict(), "matrix": [list(r) for r in self.matrix]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LatticeAutomorphism":
-        try:
-            model = ManifoldModel.from_json_dict(data["model"])
-            matrix = tuple(tuple(row) for row in data["matrix"])
-        except (KeyError, TypeError) as exc:
-            raise LatticeError(f"malformed automorphism JSON: {exc}") from exc
-        return cls(model, matrix)
-
 
 def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
     """The reflection A -> A - 2 (A.s)/(s.s) s as an integer matrix.
@@ -317,8 +305,8 @@ def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
     coef = _reflection_coefficient(s)
     model = s.model
     n = model.rank
-    gs = [_pair_coeffs(model, row, s.coeffs) for row in _unit_rows(n)]
     # (G s)_j, i.e. pairing of the j-th basis vector with s
+    gs = [sum(g * c for g, c in zip(row, s.coeffs)) for row in model.gram]
     rows = tuple(
         tuple(int(i == j) + coef * s.coeffs[i] * gs[j] for j in range(n))
         for i in range(n)
@@ -365,10 +353,6 @@ def reflect_coeffs(action: RootAction, coeffs: Sequence[int]) -> tuple[int, ...]
     for i, c in shift:
         out[i] += dot * c
     return tuple(out)
-
-
-def _unit_rows(n: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def positive_cone_contains(c: HomologyClass) -> bool:

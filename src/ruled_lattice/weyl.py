@@ -161,9 +161,6 @@ class GroupWord(Record):
             out = gens.automorphism(letter)._product(out)
         return out
 
-    def __add__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + other.letters)
-
     def to_json_list(self) -> list[str]:
         return list(self.letters)
 
@@ -189,17 +186,12 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
             raise LatticeError("no presentation below 3 blowups in the rational model")
         if l > 3:
             return coxeter.type_BE(l + 1)
-        edges = [("s1", "s2", 3), ("s2", "s3", 4), ("s0", "s3", 4)]
-        label = "L4-3-4-4"
-    else:
-        if l < 2:
-            raise LatticeError("no presentation below 2 blowups in the ruled model")
-        if l > 2:
-            return coxeter.type_BD(l + 1)
-        edges = [("s1", "s2", 4), ("s0", "s2", 4)]
-        label = "L3-4-4"
-    names = [f"s{i}" for i in range(l + 1)]
-    return coxeter.system_from_edges(names, edges, label=label)
+        return coxeter._chain_with_leg(4, 3, "L4-3-4-4", tail=4, leg_label=4)
+    if l < 2:
+        raise LatticeError("no presentation below 2 blowups in the ruled model")
+    if l > 2:
+        return coxeter.type_BD(l + 1)
+    return coxeter._chain_with_leg(3, 2, "L3-4-4", tail=4, leg_label=4)
 
 
 def _product_order(

@@ -770,6 +770,32 @@ def test_closed_stdout_pipe_exits_like_before():
     assert got[0] == 120 and b"BrokenPipeError" in got[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # text: about 100 kB of print(line) calls
+        ["orbit", "--model=rational", "--ell=6", "--seed=0,1,0,0,0,0,0", "--bound=3"],
+        # one print of 121 kB of JSON, more than a pipe holds
+        ["orbit", "--model=rational", "--ell=5", "--seed=0,0,0,0,0,1", "--bound=3", "--json"],
+    ],
+    ids=("text", "json"),
+)
+def test_pipe_closed_after_one_line_exits_120_without_traceback(argv):
+    # a reader that stops early (``| head -n 1``) makes main()'s own print
+    # fail; run() ends the call with README's exit code 120
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ruled_lattice.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_BUFFERED_ENV,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 120
+    assert b"Traceback" not in err
+
+
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ruled_lattice.cli", "coxeter-finite", "--system", "BD7"],

@@ -29,7 +29,9 @@ from ruled_lattice.coxeter import (
     type_E,
     verify_crystallographic,
 )
+from ruled_lattice.lattice import rational_model, ruled_model
 from ruled_lattice.qsqrt2 import ONE, ZERO, QSqrt2
+from ruled_lattice.weyl import expected_coxeter_system
 from fractions import Fraction
 
 
@@ -73,7 +75,52 @@ def test_named_ranks_and_labels():
     assert from_name("I2-inf") == I2_inf()
 
 
+def _drawn(n: int, edges) -> tuple:
+    """The order matrix on s0..s_{n-1} of a graph given by index edges."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, order in edges:
+        m[i][j] = m[j][i] = order
+    return tuple(tuple(row) for row in m)
+
+
+def _chain(n: int, tail: int = 3) -> list:
+    """The edges s1 - s2 - ... - s_{n-1}, the last one labelled ``tail``."""
+    return [(i, i + 1, tail if i == n - 2 else 3) for i in range(1, n - 1)]
+
+
+def _pinned_graphs():
+    """Every drawn graph as (system, edge list and label from its docstring)."""
+    for n in range(2, 17):
+        # D_n: chain s1..s_{n-1} plus s0 on s2; D_2 is two commuting nodes
+        yield type_D(n), _chain(n) + ([(0, 2, 3)] if n >= 3 else []), f"D{n}"
+    for n in range(3, 10):
+        # E_n: chain s1..s_{n-1} plus s0 on s3; s0 is isolated in E_3
+        yield type_E(n), _chain(n) + ([(0, 3, 3)] if n >= 4 else []), f"E{n}"
+    for n in range(5, 17):
+        # BE_n: chain with final label 4, s0 on s3
+        yield type_BE(n), _chain(n, 4) + [(0, 3, 3)], f"BE{n}"
+    for n in range(4, 17):
+        # BD_n: chain with final label 4, s0 on s2
+        yield type_BD(n), _chain(n, 4) + [(0, 2, 3)], f"BD{n}"
+    # rational l >= 4 gives BE_{l+1}; l = 3 is the chain s1-s2=s3=s0
+    edges = [(1, 2, 3), (2, 3, 4), (0, 3, 4)]
+    yield expected_coxeter_system(rational_model(3)), edges, "L4-3-4-4"
+    for l in range(4, 17):
+        edges = _chain(l + 1, 4) + [(0, 3, 3)]
+        yield expected_coxeter_system(rational_model(l)), edges, f"BE{l + 1}"
+    # ruled l >= 3 gives BD_{l+1}; l = 2 is the chain s1=s2=s0
+    yield expected_coxeter_system(ruled_model(2)), [(1, 2, 4), (0, 2, 4)], "L3-4-4"
+    for l in range(3, 17):
+        edges = _chain(l + 1, 4) + [(0, 2, 3)]
+        yield expected_coxeter_system(ruled_model(l)), edges, f"BD{l + 1}"
+
+
 def test_edge_fixtures():
+    for system, edges, label in _pinned_graphs():
+        n = system.rank
+        assert system.names == tuple(f"s{i}" for i in range(n)), label
+        assert system.matrix == _drawn(n, edges), label
+        assert system.label == label
     be5 = type_BE(5)
     # chain s1-s2-s3=s4 with s0 hanging off s3
     assert be5.order("s3", "s4") == 4

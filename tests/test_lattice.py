@@ -292,11 +292,6 @@ def test_cone_preservation_flag():
     assert not minus.is_cone_preserving()
 
 
-def test_automorphism_json_round_trip():
-    r = reflection_along(fiber_pair_wall(U2))
-    assert LatticeAutomorphism.from_json_dict(r.to_json_dict()) == r
-
-
 # ---------------------------------------------------------------------------
 # positive cone
 

@@ -210,14 +210,13 @@ def _same_model(a, b) -> None:
 
 
 def _pair_coeffs(model: ManifoldModel, u: Sequence, v: Sequence):
-    # inlined bilinear form; works for int and Fraction coefficients alike
-    if model.kind is Kind.RATIONAL:
-        acc = u[0] * v[0]
-        start = 1
-    else:
-        acc = u[0] * v[1] + u[1] * v[0]
-        start = 2
-    for i in range(start, model.rank):
+    # inlined bilinear form; works for int and Fraction coefficients alike:
+    # the head pairs slot i with slot h-1-i (L.L, resp. Y.F = F.Y = 1)
+    h = model.head
+    acc = 0
+    for i in range(h):
+        acc += u[i] * v[h - 1 - i]
+    for i in range(h, model.rank):
         acc -= u[i] * v[i]
     return acc
 

@@ -481,8 +481,8 @@ class PeriodVector(Record):
         _require_generators(self.model)
         c = self.coeffs
         h = self.model.head
-        # c[h + i - 1] = -mu_i; s0 is L - E1 - E2 - E3 resp. F - E1 - E2
-        s0 = c[0] + sum(c[h:4])
+        # c[h + i - 1] = -mu_i
+        s0 = _s0_period(c, h)
         return (s0, *(c[j + 1] - c[j] for j in range(h, len(c) - 1)), -c[-1])
 
     def satisfies_period_conditions(self) -> bool:
@@ -567,20 +567,28 @@ class PeriodReduction(Record):
         }
 
 
-def _boundary_flags(p: PeriodVector) -> tuple[str, ...]:
-    """Names of the generators whose walls contain the reduced vector."""
-    return tuple(f"s{i}" for i, w in enumerate(p.wall_periods()) if w == 0)
+def _s0_period(c: Sequence[int], h: int) -> int:
+    """The period over the extra wall s0, from the dual coefficients ``c``.
+
+    s0 is L - E1 - E2 - E3, resp. F - E1 - E2: +1 at the head slot h - 1
+    (L, resp. F) and -1 at the exceptional slots h..3.  The form pairs slot
+    h - 1 with slot 0 and negates each E_i, so the period is c[0] + c[h] +
+    ... + c[3]; crossing the wall adds the period times s0 to ``c``.
+    """
+    return c[0] + sum(c[h:4])
 
 
 def reduce_periods(p: PeriodVector) -> PeriodReduction:
     """Transport a period vector into the fundamental domain.
 
-    The loop bubble-sorts the exceptional periods (adjacent transpositions),
-    flips a trailing negative entry with the twist, and crosses the extra
-    wall whenever the leading inequality fails.  It runs on the integer
-    dual coefficients, whose common denominator no letter changes; the head
-    period that the extra wall strictly decreases (line resp. section) is a
-    positive integer throughout, which bounds the number of wall crossings.
+    One loop, the same for both models, on the integer dual coefficients
+    ``c``, whose common denominator no letter changes: the swaps s1..s_{l-1}
+    bubble-sort the exceptional slots (c[j] > c[j+1] means mu_i < mu_{i+1}),
+    the twist s_l negates a positive last slot, and s0 adds its negative
+    period times s0 to ``c``.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2, see
+    ``_s0_period``) is the only step that depends on the model.  The head
+    period that s0 strictly decreases (line resp. section) is a positive
+    integer throughout, which bounds the number of wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
     vector are reported in ``boundary_flags``.
@@ -589,54 +597,39 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
         raise OutsideConeError(f"{p} is not in the open positive cone")
     h = p.model.head
-    head = list(p.coeffs[:h])
-    mus = [-c for c in p.coeffs[h:]]
-    l = len(mus)
+    c = list(p.coeffs)
+    last = len(c) - 1
+    # one name per generator, built once: s_i swaps the slots h+i-1 and h+i
+    names = [f"s{i}" for i in range(p.model.blowups + 1)]
     letters: list[str] = []
-
-    def sort_pass() -> None:
+    while True:
         swapped = True
         while swapped:
             swapped = False
-            for i in range(1, l):
-                if mus[i - 1] < mus[i]:
-                    mus[i - 1], mus[i] = mus[i], mus[i - 1]
-                    letters.append(f"s{i}")
+            for j in range(h, last):
+                if c[j] > c[j + 1]:
+                    c[j], c[j + 1] = c[j + 1], c[j]
+                    letters.append(names[j - h + 1])
                     swapped = True
-
-    while True:
-        sort_pass()
-        if mus[-1] < 0:
-            mus[-1] = -mus[-1]
-            letters.append(f"s{l}")
+        if c[last] > 0:
+            c[last] = -c[last]
+            letters.append(names[-1])
             continue
-        if h == 1:  # rational: the extra wall is L - E1 - E2 - E3
-            gap = head[0] - (mus[0] + mus[1] + mus[2])
-            if gap < 0:
-                lam = head[0]
-                head[0] = lam + gap  # line' = 2*line - (mu1+mu2+mu3)
-                mus[0], mus[1], mus[2] = (
-                    lam - mus[1] - mus[2],
-                    lam - mus[0] - mus[2],
-                    lam - mus[0] - mus[1],
-                )
-                letters.append("s0")
-                continue
-        else:  # ruled: F - E1 - E2
-            gap = head[0] - (mus[0] + mus[1])
-            if gap < 0:
-                fib = head[0]
-                mus[0], mus[1] = fib - mus[1], fib - mus[0]
-                head[1] += gap
-                letters.append("s0")
-                continue
-        break
+        gap = _s0_period(c, h)
+        if gap >= 0:
+            break
+        c[h - 1] += gap  # c += gap * s0, the shape ``_s0_period`` describes
+        for j in range(h, 4):
+            c[j] -= gap
+        letters.append("s0")
 
     # the letters are unimodular, so the same denominator keeps lowest terms
-    reduced = PeriodVector._trusted(p.model, (*head, *(-m for m in mus)), p.denominator)
-    if not reduced.satisfies_period_conditions():
+    reduced = PeriodVector._trusted(p.model, tuple(c), p.denominator)
+    walls = reduced.wall_periods()
+    if min(walls) < 0:
         raise InternalConsistencyError(f"reduction of {p} missed the domain")
-    return PeriodReduction(reduced, GroupWord(tuple(letters)), _boundary_flags(reduced))
+    flags = tuple(name for name, w in zip(names, walls) if w == 0)
+    return PeriodReduction(reduced, GroupWord(tuple(letters)), flags)
 
 
 # ---------------------------------------------------------------------------

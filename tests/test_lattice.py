@@ -220,9 +220,16 @@ def model_and_classes(draw, count):
 
 @given(model_and_classes(2))
 def test_pairing_is_symmetric_and_bilinear(data):
-    _, a, b = data
+    model, a, b = data
     assert pairing(a, b) == pairing(b, a)
     assert pairing(a + b, a + b) == a.square + 2 * pairing(a, b) + b.square
+    # the dense Gram matrix, a second route to the form
+    gram = model.gram
+    assert pairing(a, b) == sum(
+        x * gram[i][j] * y
+        for i, x in enumerate(a.coeffs)
+        for j, y in enumerate(b.coeffs)
+    )
 
 
 @given(model_and_classes(2))

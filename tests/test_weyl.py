@@ -485,6 +485,69 @@ def test_reduce_ruled_fixture_keeps_denominators():
     assert red.boundary_flags == ("s0", "s1")
 
 
+# Inputs with their reduced vector, word and flags, one row per path the
+# reduction loop takes: the same loop serves both models.
+_REDUCTION_TABLE = {
+    # the affine ruled walk: fiber 1, four s0 crossings
+    "ruled-l2-affine": (
+        ruled_periods(2, 1, 17, (4, 0)),
+        ruled_periods(2, 1, 9, (0, 0)),
+        "s0 s2 s1 s0 s2 s1 s0 s2 s0",
+        "s1 s2",
+    ),
+    # fractional periods and a negative mu: a twist, then a re-sort
+    "ruled-l4-fractional": (
+        ruled_periods(
+            4, Fraction(3, 2), Fraction(41, 2), (Fraction(5, 2), -2, Fraction(7, 3), 1)
+        ),
+        ruled_periods(
+            4, Fraction(3, 2), Fraction(46, 3), (Fraction(2, 3), *[Fraction(1, 2)] * 3)
+        ),
+        "s2 s3 s4 s3 s0 s2 s3 s1 s2 s4 s3 s4 s0 s2 s3 s1 s2 s4 s0",
+        "s2 s3",
+    ),
+    "rational-l9": (
+        rational_periods(
+            9, Fraction(17, 3), [Fraction(m, 3) for m in (1, 12, 4, 4, 4, 4, -1, 5, -5)]
+        ),
+        rational_periods(9, 2, (*[Fraction(1, 3)] * 7, 0, 0)),
+        "s1 s2 s3 s4 s5 s7 s6 s5 s4 s3 s2 s9 s8 s7 s6 s5 s4 s3 s9 s0 "
+        "s3 s4 s5 s6 s7 s8 s2 s3 s4 s5 s6 s7 s0 s3 s4 s2 s3 s0",
+        "s1 s2 s3 s4 s5 s6 s8 s9",
+    ),
+    "rational-l10": (
+        rational_periods(10, 24, (10, 9, 6, 12, -5, -1, 6, -3, 8, -2)),
+        rational_periods(10, 13, (4, 4, 4, 3, 3, 3, 3, 2, 2, 1)),
+        "s3 s5 s6 s7 s8 s9 s2 s5 s7 s8 s1 s6 s5 s4 s10 s9 s8 s7 s10 s9 s8 s10 "
+        "s9 s10 s0 s3 s4 s5 s6 s7 s2 s3 s4 s5 s1 s2 s3 s0 s3 s4 s2 s3 s0",
+        "s1 s2 s4 s5 s6 s8",
+    ),
+    "rational-l11": (
+        rational_periods(
+            11,
+            Fraction(27, 2),
+            [Fraction(m, 2) for m in (12, 11, 6, 10, 8, 10, -7, 3, 2, 2, -3)],
+        ),
+        rational_periods(
+            11, 8, [Fraction(m, 2) for m in (5, 5, 5, 5, 4, 4, 3, 3, 3, 2, 2)]
+        ),
+        "s3 s4 s5 s7 s8 s9 s10 s4 s11 s10 s9 s8 s7 s6 s11 s10 s9 s0 s3 s4 s5 "
+        "s6 s2 s3 s4 s5 s1 s2 s3 s0 s3 s4 s5 s6 s2 s3 s4 s0",
+        "s1 s2 s3 s5 s7 s8 s10",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _REDUCTION_TABLE)
+def test_reduce_periods_table(case):
+    p, reduced, word, flags = _REDUCTION_TABLE[case]
+    red = reduce_periods(p)
+    assert red.reduced == reduced
+    assert red.word.letters == tuple(word.split())
+    assert red.boundary_flags == tuple(flags.split())
+    assert red.word.apply_to_coeffs(generator_set(p.model), p.coeffs) == reduced.coeffs
+
+
 def test_reduction_word_transports_the_input():
     for p in (
         rational_periods(5, 6, (3, 3, 3, 1, 1)),
@@ -553,8 +616,9 @@ def test_reduction_properties(p):
 
 
 # Rational model only: the ruled cone the code accepts is not preserved by
-# s0 (the cone defect in ROADMAP item 3), so the ruled half stays out until
-# that defect is settled.
+# s0 (the ruled cone defect: ``positive_cone_contains`` tests section*fiber
+# > sum(mu_i^2), not the square the reflections keep), so the ruled half
+# stays out until that defect is settled.
 @given(cone_periods(kinds=("rational",)))
 @settings(max_examples=150, deadline=None)
 def test_generators_preserve_the_rational_cone(p):
@@ -572,7 +636,7 @@ def moved_periods(draw):
 
 
 # Rational model only: the ruled cone the code accepts is not preserved by
-# s0 (the cone defect in ROADMAP item 3), so a random word can leave it.
+# s0 (the ruled cone defect, see above), so a random word can leave it.
 @given(moved_periods())
 @settings(max_examples=150, deadline=None)
 def test_reduction_is_orbit_canonical(case):

@@ -51,7 +51,17 @@ class GroupNode(Record):
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """``kind``, then every field in order: a node or Coxeter system as
+        its JSON object, a tuple of nodes as a list of them."""
+        out = {"kind": self.kind}
+        for name in self._fields:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = [v.to_json_dict() for v in value]
+            elif isinstance(value, (GroupNode, CoxeterSystem)):
+                value = value.to_json_dict()
+            out[name] = value
+        return out
 
 
 class Cyclic(GroupNode):
@@ -61,9 +71,6 @@ class Cyclic(GroupNode):
     def render(self) -> str:
         return f"Z{self.order}"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "order": self.order}
-
 
 class FreeAbelian(GroupNode):
     rank: int
@@ -71,9 +78,6 @@ class FreeAbelian(GroupNode):
 
     def render(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "rank": self.rank}
 
 
 class CoxeterGroup(GroupNode):
@@ -85,9 +89,6 @@ class CoxeterGroup(GroupNode):
             return f"W({self.system.label})"
         return f"W(rank {self.system.rank})"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "system": self.system.to_json_dict()}
-
 
 class Semidirect(GroupNode):
     normal: GroupNode
@@ -96,13 +97,6 @@ class Semidirect(GroupNode):
 
     def render(self) -> str:
         return f"({self.normal.render()} : {self.acting.render()})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "normal": self.normal.to_json_dict(),
-            "acting": self.acting.to_json_dict(),
-        }
 
 
 class DirectSum(GroupNode):
@@ -115,9 +109,6 @@ class DirectSum(GroupNode):
     def render(self) -> str:
         return "(" + " x ".join(p.render() for p in self.parts) + ")"
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
-
 
 class BlackBox(GroupNode):
     label: str
@@ -125,9 +116,6 @@ class BlackBox(GroupNode):
 
     def render(self) -> str:
         return f"<{self.label}>"
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label}
 
 
 class GroupDescription(Record):
@@ -152,104 +140,98 @@ class GroupDescription(Record):
 # ---------------------------------------------------------------------------
 # small-case catalog
 
-_ALIASES = {
-    "cp2": "CP2",
-    "cp^2": "CP2",
-    "s2xs2": "S2xS2",
-    "s2*s2": "S2xS2",
-    "twisted-s2xs2": "twisted-S2xS2",
-    "s2~s2": "twisted-S2xS2",
-    "s2xs2-twisted": "twisted-S2xS2",
-    "yxs2": "YxS2",
-    "y*s2": "YxS2",
-    "twisted-yxs2": "twisted-YxS2",
-    "y~s2": "twisted-YxS2",
-    "yxs2-twisted": "twisted-YxS2",
-    "blownup-s2xs2": "blownup-S2xS2",
-    "s2xs2-blownup": "blownup-S2xS2",
-    "blownup-yxs2": "blownup-YxS2",
-    "yxs2-blownup": "blownup-YxS2",
+_Z2_SQUARED = DirectSum((Cyclic(2), Cyclic(2)))
+
+# the description of each label in SMALL_CASE_LABELS, in that order
+_SMALL_CASES = {
+    "CP2": GroupDescription(
+        "homotopy mapping classes of the plane",
+        Cyclic(2),
+        (
+            "generator: complex conjugation",
+            "as a reflection group: W(A1)",
+        ),
+    ),
+    "S2xS2": GroupDescription(
+        "homotopy mapping classes of the sphere product",
+        Semidirect(normal=_Z2_SQUARED, acting=Cyclic(2)),
+        (
+            "normal part: conjugation of each sphere factor",
+            "acting part: the factor swap",
+            "as a reflection group: W(B2)",
+        ),
+    ),
+    "twisted-S2xS2": GroupDescription(
+        "homotopy mapping classes of the twisted sphere bundle",
+        Semidirect(normal=_Z2_SQUARED, acting=Cyclic(2)),
+        (
+            "normal part: inversions of the two section classes",
+            "acting part: an orientation-reversing swap of the sections",
+            "as a reflection group: W(B2)",
+        ),
+    ),
+    "YxS2": GroupDescription(
+        "homology image for the trivial sphere bundle, positive genus",
+        _Z2_SQUARED,
+        (
+            "factors: inversion of the section class, inversion of the fiber class",
+            "both realized by conjugations of the single factors",
+            "as a reflection group: W(A1 x A1)",
+        ),
+    ),
+    "twisted-YxS2": GroupDescription(
+        "homology image for the twisted sphere bundle, positive genus",
+        _Z2_SQUARED,
+        (
+            "factors: a conjugation inverting section and fiber classes,"
+            " and an orientation-reversing swap of the two sections",
+            "as a reflection group: W(A1 x A1)",
+        ),
+    ),
+    "blownup-S2xS2": GroupDescription(
+        "cone-preserving homology image of the twice blown-up plane",
+        CoxeterGroup(coxeter.L3_4inf()),
+        (
+            "equals the full cone-preserving automorphism group"
+            " of the rank 3 lattice",
+            "s1: reflection along E1 - E2; s2: twist along E2;"
+            " s0*: twist along L - E1 - E2",
+        ),
+    ),
+    "blownup-YxS2": GroupDescription(
+        "homology image of the once blown-up bundle, positive genus",
+        Semidirect(normal=FreeAbelian(1), acting=Cyclic(2)),
+        (
+            "as a reflection group: W(I2(inf)), the affine A1 group",
+            "s1: twist along E1; s1*: twist along F - E1",
+        ),
+    ),
 }
 
+# every label in lowercase, and the other spellings describe_diffeotopy reads
+_ALIASES = {label.lower(): label for label in SMALL_CASE_LABELS}
+_ALIASES.update(
+    {
+        "cp^2": "CP2",
+        "s2*s2": "S2xS2",
+        "s2~s2": "twisted-S2xS2",
+        "s2xs2-twisted": "twisted-S2xS2",
+        "y*s2": "YxS2",
+        "y~s2": "twisted-YxS2",
+        "yxs2-twisted": "twisted-YxS2",
+        "s2xs2-blownup": "blownup-S2xS2",
+        "yxs2-blownup": "blownup-YxS2",
+    }
+)
 
-def _two_conjugations_and_swap() -> GroupNode:
-    return Semidirect(
-        normal=DirectSum((Cyclic(2), Cyclic(2))),
-        acting=Cyclic(2),
-    )
-
-
-def _small_case(label: str) -> GroupDescription:
-    if label == "CP2":
-        return GroupDescription(
-            "homotopy mapping classes of the plane",
-            Cyclic(2),
-            notes=(
-                "generator: complex conjugation",
-                "as a reflection group: W(A1)",
-            ),
-        )
-    if label == "S2xS2":
-        return GroupDescription(
-            "homotopy mapping classes of the sphere product",
-            _two_conjugations_and_swap(),
-            notes=(
-                "normal part: conjugation of each sphere factor",
-                "acting part: the factor swap",
-                "as a reflection group: W(B2)",
-            ),
-        )
-    if label == "twisted-S2xS2":
-        return GroupDescription(
-            "homotopy mapping classes of the twisted sphere bundle",
-            _two_conjugations_and_swap(),
-            notes=(
-                "normal part: inversions of the two section classes",
-                "acting part: an orientation-reversing swap of the sections",
-                "as a reflection group: W(B2)",
-            ),
-        )
-    if label == "YxS2":
-        return GroupDescription(
-            "homology image for the trivial sphere bundle, positive genus",
-            DirectSum((Cyclic(2), Cyclic(2))),
-            notes=(
-                "factors: inversion of the section class, inversion of the fiber class",
-                "both realized by conjugations of the single factors",
-                "as a reflection group: W(A1 x A1)",
-            ),
-        )
-    if label == "twisted-YxS2":
-        return GroupDescription(
-            "homology image for the twisted sphere bundle, positive genus",
-            DirectSum((Cyclic(2), Cyclic(2))),
-            notes=(
-                "factors: a conjugation inverting section and fiber classes,"
-                " and an orientation-reversing swap of the two sections",
-                "as a reflection group: W(A1 x A1)",
-            ),
-        )
-    if label == "blownup-S2xS2":
-        return GroupDescription(
-            "cone-preserving homology image of the twice blown-up plane",
-            CoxeterGroup(coxeter.L3_4inf()),
-            notes=(
-                "equals the full cone-preserving automorphism group"
-                " of the rank 3 lattice",
-                "s1: reflection along E1 - E2; s2: twist along E2;"
-                " s0*: twist along L - E1 - E2",
-            ),
-        )
-    if label == "blownup-YxS2":
-        return GroupDescription(
-            "homology image of the once blown-up bundle, positive genus",
-            Semidirect(normal=FreeAbelian(1), acting=Cyclic(2)),
-            notes=(
-                "as a reflection group: W(I2(inf)), the affine A1 group",
-                "s1: twist along E1; s1*: twist along F - E1",
-            ),
-        )
-    raise CatalogError(f"unknown catalog label {label!r}")
+# the models with too few blowups for a generator set, by their small case
+_SMALL_MODELS = {
+    (Kind.RATIONAL, 0): "CP2",
+    (Kind.RATIONAL, 1): "twisted-S2xS2",
+    (Kind.RATIONAL, 2): "blownup-S2xS2",
+    (Kind.RULED, 0): "YxS2",
+    (Kind.RULED, 1): "blownup-YxS2",
+}
 
 
 def _marked_mapping_classes(genus: int, blowups: int) -> BlackBox:
@@ -302,19 +284,16 @@ def describe_diffeotopy(target: Union[str, ManifoldModel]) -> GroupDescription:
             raise CatalogError(
                 f"unknown label {target!r}; known: {', '.join(SMALL_CASE_LABELS)}"
             )
-        return _small_case(_ALIASES[key])
+        return _SMALL_CASES[_ALIASES[key]]
     if not isinstance(target, ManifoldModel):
         raise CatalogError("expected a label string or a ManifoldModel")
 
     model = target
+    small = _SMALL_MODELS.get((model.kind, model.blowups))
+    if small is not None:
+        return _SMALL_CASES[small]
+    system = expected_coxeter_system(model)
     if model.kind is Kind.RATIONAL:
-        if model.blowups == 0:
-            return _small_case("CP2")
-        if model.blowups == 1:
-            return _small_case("twisted-S2xS2")
-        if model.blowups == 2:
-            return _small_case("blownup-S2xS2")
-        system = expected_coxeter_system(model)
         return GroupDescription(
             "cone-preserving diffeotopy group of the blown-up plane",
             CoxeterGroup(system),
@@ -328,11 +307,6 @@ def describe_diffeotopy(target: Union[str, ManifoldModel]) -> GroupDescription:
             ),
         )
 
-    if model.blowups == 0:
-        return _small_case("YxS2")
-    if model.blowups == 1:
-        return _small_case("blownup-YxS2")
-    system = expected_coxeter_system(model)
     g = model.genus
     mapbar = _marked_mapping_classes(g, model.blowups)
     trivial_part = homotopically_trivial_part(g)

@@ -685,6 +685,8 @@ def _gather_describe(args: _Args) -> dict:
 
 def _run_describe(inp: dict) -> _Outcome:
     target = _get_dict(inp, "target")
+    if "label" in target and "model" in target:
+        raise UsageError("'target' must hold 'label' or 'model', not both")
     if "label" in target:
         label = target["label"]
         if not isinstance(label, str):

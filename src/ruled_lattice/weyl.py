@@ -120,21 +120,23 @@ def _require_generators(model: ManifoldModel) -> None:
         raise LatticeError("the ruled generator set needs at least 2 blowups")
 
 
+def _generator_class(model: ManifoldModel, i: int) -> HomologyClass:
+    """The class of the generator s_i, see the module docstring."""
+    if i == 0:
+        if model.kind is Kind.RATIONAL:
+            return line_triple_wall(model)
+        return fiber_pair_wall(model)
+    if i < model.blowups:
+        return adjacent_difference(model, i)
+    return exceptional_class(model, i)
+
+
 def generator_set(model: ManifoldModel) -> GeneratorSet:
     _require_generators(model)
-    l = model.blowups
-    if model.kind is Kind.RATIONAL:
-        extra = line_triple_wall(model)
-    else:
-        extra = fiber_pair_wall(model)
-    names = ["s0"]
-    classes = [extra]
-    for i in range(1, l):
-        names.append(f"s{i}")
-        classes.append(adjacent_difference(model, i))
-    names.append(f"s{l}")
-    classes.append(exceptional_class(model, l))
-    return GeneratorSet(model, tuple(names), tuple(classes))
+    indices = range(model.blowups + 1)
+    names = tuple(f"s{i}" for i in indices)
+    classes = tuple(_generator_class(model, i) for i in indices)
+    return GeneratorSet(model, names, classes)
 
 
 class GroupWord(Record):
@@ -553,6 +555,17 @@ def ruled_periods(blowups: int, fiber, section, mus, genus: int = 1) -> PeriodVe
 # ---------------------------------------------------------------------------
 # period reduction
 
+# the most letters one reduction word may hold.  Along an affine direction
+# the ruled walks spend about 3 letters per unit of mu_1 / fiber (resp. of
+# the F multiple), so a period or class of a few digits could otherwise run
+# for hours and fill memory with its word.
+WORD_LETTER_CAP = 1_000_000
+
+
+def _check_word_length(letters: list) -> None:
+    if len(letters) > WORD_LETTER_CAP:
+        raise LatticeError(f"reduction word reached more than {WORD_LETTER_CAP} letters")
+
 
 class PeriodReduction(Record):
     reduced: PeriodVector
@@ -591,7 +604,8 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     integer throughout, which bounds the number of wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
-    vector are reported in ``boundary_flags``.
+    vector are reported in ``boundary_flags``.  A word longer than
+    ``WORD_LETTER_CAP`` letters raises LatticeError.
     """
     _require_generators(p.model)
     if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
@@ -611,6 +625,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
                     c[j], c[j + 1] = c[j + 1], c[j]
                     letters.append(names[j - h + 1])
                     swapped = True
+        _check_word_length(letters)
         if c[last] > 0:
             c[last] = -c[last]
             letters.append(names[-1])
@@ -691,6 +706,8 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
     Ruled model: the Y coefficient is invariant under every generator, so
     it must vanish; then c = +-E_j + kF and the F multiple is walked to
     zero with the step isometries.
+
+    A word longer than ``WORD_LETTER_CAP`` letters raises LatticeError.
     """
     model = gens.model
     if c.model != model:
@@ -707,6 +724,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         for letter in word_letters:
             coeffs = reflect_coeffs(gens.root_action(letter), coeffs)
         letters.extend(word_letters)
+        _check_word_length(letters)
 
     def land(j: int, kind: str) -> ClassReduction:
         # the class is +-E_j: twist a -E_j, move it up to slot l, check E_l
@@ -847,17 +865,19 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     walls = p.wall_periods()
     if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
-    gens = generator_set(p.model)
-    # zip stops before the twist s_l, the last generator
+    # only the zero walls' classes are built; the twist s_l, the last wall,
+    # is never a member
     members = [
-        (n, c) for n, c, w in zip(gens.names[:-1], gens.classes, walls) if w == 0
+        (f"s{i}", _generator_class(p.model, i))
+        for i, w in enumerate(walls[:-1])
+        if w == 0
     ]
     names = [n for n, _ in members]
     classes = [c for _, c in members]
     edges = []
     adj: dict[str, list[str]] = {n: [] for n in names}
     for i, (na, ca) in enumerate(members):
-        dual = gens.root_action(na)[0]  # ca.cb over the support of ca only
+        dual = root_action(ca)[0]  # ca.cb over the support of ca only
         for nb, cb in members[i + 1 :]:
             val = sum(cb.coeffs[j] * g for j, g in dual)
             if val not in (-1, 0, 1):

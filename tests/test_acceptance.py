@@ -10,12 +10,10 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
+from test_catalog import random_o12_word
+
 from ruled_lattice import coxeter
-from ruled_lattice.catalog import (
-    O12_GENERATOR_NAMES,
-    decompose_O12,
-    evaluate_o12_word,
-)
+from ruled_lattice.catalog import decompose_O12, evaluate_o12_word
 from ruled_lattice.coxeter import (
     I2_inf,
     L3_4inf,
@@ -254,10 +252,6 @@ def test_criterion_7_root_orbit():
         assert not res.truncated
         assert len(res.vectors) == 240
         assert all(HomologyClass(model, v).square == -2 for v in res.vectors)
-
-
-def random_o12_word(length: int, rng: random.Random) -> GroupWord:
-    return GroupWord(tuple(rng.choice(O12_GENERATOR_NAMES) for _ in range(length)))
 
 
 def test_criterion_8_rank3_generation():

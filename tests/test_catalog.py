@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ruled_lattice import catalog, coxeter
 from ruled_lattice.catalog import (
     SMALL_CASE_LABELS,
     BlackBox,
@@ -48,12 +49,19 @@ def test_node_renders():
 def test_node_json_shapes():
     assert Cyclic(2).to_json_dict() == {"kind": "cyclic", "order": 2}
     assert FreeAbelian(2).to_json_dict() == {"kind": "free_abelian", "rank": 2}
+    assert BlackBox("opaque").to_json_dict() == {"kind": "black_box", "label": "opaque"}
     data = Semidirect(
         normal=DirectSum((Cyclic(2), Cyclic(2))), acting=Cyclic(2)
     ).to_json_dict()
+    assert list(data) == ["kind", "normal", "acting"]  # kind, then field order
     assert data["kind"] == "semidirect"
-    assert data["normal"]["kind"] == "direct_sum"
+    assert data["normal"] == {"kind": "direct_sum", "parts": [Cyclic(2).to_json_dict()] * 2}
     assert data["acting"] == {"kind": "cyclic", "order": 2}
+    system = coxeter.L3_4inf()
+    assert CoxeterGroup(system).to_json_dict() == {
+        "kind": "coxeter",
+        "system": system.to_json_dict(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +87,14 @@ def test_small_case_golden_renders(label):
     data = d.to_json_dict()
     assert data["rendered"] == GOLDEN_RENDERS[label]
     assert set(data) == {"name", "structure", "rendered", "notes"}
+
+
+def test_the_small_case_table_has_one_entry_per_label():
+    assert tuple(catalog._SMALL_CASES) == SMALL_CASE_LABELS
+    assert set(catalog._ALIASES.values()) == set(SMALL_CASE_LABELS)
+    assert set(catalog._SMALL_MODELS.values()) <= set(SMALL_CASE_LABELS)
+    for label in SMALL_CASE_LABELS:
+        assert describe_diffeotopy(label.lower()) == describe_diffeotopy(label)
 
 
 def test_label_aliases():

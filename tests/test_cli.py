@@ -130,6 +130,16 @@ def test_outside_cone_exits_one(capsys):
     assert "cone" in err
 
 
+def test_a_runaway_reduction_is_refused(capsys):
+    # mu1 / fiber = 10^6 walks about 3 * 10^6 letters along the affine direction
+    code, out, err = run(
+        capsys, "reduce-periods", "--model=ruled", "--ell=2",
+        "--periods=1,1000000000001,1000000,0",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: reduction word reached more than 1000000 letters\n"
+
+
 # ---------------------------------------------------------------------------
 # parser identity: main builds only the named subcommand's parser
 
@@ -459,6 +469,27 @@ def test_input_coxeter_system_is_validated(capsys, monkeypatch, system):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        (
+            {"label": "CP2", "model": {"kind": "rational", "blowups": 1, "genus": 0}},
+            "'target' must hold 'label' or 'model', not both",
+        ),
+        ({"label": 2}, "'target.label' must be a string"),
+        ({}, "input payload is missing 'model'"),
+        ("CP2", "'target' must be a JSON object"),
+    ],
+    ids=["label-and-model", "number-label", "empty", "string-target"],
+)
+def test_input_describe_target_is_validated(capsys, monkeypatch, target, message):
+    # the flags refuse --label with --model, and so does the payload
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"target": target})))
+    code, out, err = run(capsys, "describe", "--input", "-", "--json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
 
 
 def test_input_from_stdin(capsys, monkeypatch, tmp_path):

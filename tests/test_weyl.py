@@ -699,6 +699,19 @@ def test_reduce_class_ruled_fiber_multiples():
     assert red.word.apply_to_coeffs(g, c.coeffs) == red.canonical.coeffs
 
 
+def test_reduce_class_refuses_a_word_past_the_letter_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "WORD_LETTER_CAP", 10_000)
+    # E1 + kF walks 6 letters per fiber; kL - kE1 - E2 about 3 per unit of k
+    g = generator_set(U2)
+    assert len(reduce_class(g, HomologyClass(U2, (0, 1000, 1, 0))).word) == 6001
+    with pytest.raises(LatticeError, match="more than 10000 letters"):
+        reduce_class(g, HomologyClass(U2, (0, 10_000, 1, 0)))
+    g = generator_set(R3)
+    assert len(reduce_class(g, HomologyClass(R3, (1000, -1000, -1, 0))).word) == 2998
+    with pytest.raises(LatticeError, match="more than 10000 letters"):
+        reduce_class(g, HomologyClass(R3, (10_000, -10_000, -1, 0)))
+
+
 def test_reduce_class_ruled_section_coefficient_obstructs():
     g = generator_set(U2)
     red = reduce_class(g, HomologyClass(U2, (1, 0, -1, 0)))

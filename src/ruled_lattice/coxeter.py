@@ -1,18 +1,19 @@
 """Coxeter systems, their Gram matrices and crystallographic structures.
 
-A Coxeter system is stored as a symmetric matrix of pair orders with 1 on the
-diagonal and off-diagonal entries in {2, 3, 4, oo}; larger finite labels never
-occur for the groups treated here and are rejected.  The geometric
-representation places one basis vector per generator with <e_j, e_j> = -1 and
+A Coxeter system is stored as its graph: the pairs of generators whose
+order is not 2, each with its order in {3, 4, oo} (larger finite labels
+never occur for the groups treated here and are rejected).  Its JSON form
+is the dense symmetric matrix of pair orders.  The geometric representation
+places one basis vector per generator with <e_j, e_j> = -1 and
 <e_i, e_j> = cos(pi/m_ij), all of which lies in Q(sqrt2), so every
 definiteness computation below is exact.
 
-Finite type is decided by Sylvester's criterion on the negated Gram matrix.
-A crystallographic structure is a split of the generators into short and long
-ones; rescaling the long basis vectors by sqrt2 must turn every generator
-matrix into an integer matrix, and the combinatorial shadow of that condition
-(which edge labels may join which parts) is checked separately so the two
-routes can be compared.
+Finite type is decided by Sylvester's criterion on the negated Gram matrix,
+eliminated over the graph.  A crystallographic structure is a split of the
+generators into short and long ones; rescaling the long basis vectors by
+sqrt2 must turn every generator matrix into an integer matrix, and the
+combinatorial shadow of that condition (which edge labels may join which
+parts) is checked separately so the two routes can be compared.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .base import INF, CoxeterError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
 
 
-def _is_pair_order(m) -> bool:
-    """An off-diagonal order: the int 2, 3 or 4 (not a float or bool) or INF."""
-    return m is INF or (type(m) is int and m in (2, 3, 4))
+def _check_pair_order(m, a: str, b: str) -> None:
+    """An off-diagonal order is the int 2, 3 or 4 (not a float or bool) or INF."""
+    if not (m is INF or (type(m) is int and m in (2, 3, 4))):
+        raise CoxeterError(f"unsupported pair order {m!r} between {a} and {b}")
 
 
 def _cos_pi_over(m) -> QSqrt2:
@@ -34,42 +36,43 @@ def _cos_pi_over(m) -> QSqrt2:
     return {2: ZERO, 3: HALF, 4: HALF_SQRT2}[m]
 
 
-class CoxeterSystem(Record):
-    """A finite set of named generators with pairwise orders.
+def _slots(names: Sequence[str]) -> dict[str, int]:
+    """Each generator name's index; the names must be distinct strings."""
+    if not all(isinstance(name, str) for name in names):
+        raise CoxeterError("generator names must be strings")
+    slots = {name: i for i, name in enumerate(names)}
+    if len(slots) != len(names):
+        raise CoxeterError("generator names must be distinct")
+    return slots
 
-    The optional label is a display name ("E6", "BD5", ..); it never takes
-    part in equality.
+
+class CoxeterSystem(Record):
+    """A finite set of named generators with pairwise orders, kept as a graph.
+
+    ``pairs`` maps (i, j), i < j, to the order of the i-th and j-th
+    generators wherever it is not 2 (given as a dict or its items, kept as a
+    dict in increasing (i, j)); every other pair commutes.  The optional
+    label is a display name ("E6", "BD5", ..); it never takes part in
+    equality.
     """
 
     names: tuple[str, ...]
-    matrix: tuple[tuple, ...]
+    pairs: dict
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        n = len(self.names)
-        if not all(isinstance(name, str) for name in self.names):
-            raise CoxeterError("generator names must be strings")
-        if len(set(self.names)) != n:
-            raise CoxeterError("generator names must be distinct")
-        m = tuple(tuple(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if len(m) != n or any(len(r) != n for r in m):
-            raise CoxeterError(f"matrix must be {n}x{n}")
-        for i in range(n):
-            if m[i][i] != 1 or type(m[i][i]) is not int:
-                raise CoxeterError("diagonal entries must be 1")
-            for j in range(i + 1, n):
-                if m[i][j] is not m[j][i] and m[i][j] != m[j][i]:
-                    raise CoxeterError("matrix must be symmetric")
-                for order in (m[i][j], m[j][i]):
-                    if not _is_pair_order(order):
-                        raise CoxeterError(
-                            f"unsupported pair order {order!r} between "
-                            f"{self.names[i]} and {self.names[j]}"
-                        )
+        slots = _slots(self.names)
+        given = dict(self.pairs)
+        for (i, j), m in given.items():
+            if not (type(i) is int and type(j) is int and 0 <= i < j < len(slots)):
+                raise CoxeterError(f"pair {(i, j)!r} is not i < j < {len(slots)}")
+            _check_pair_order(m, self.names[i], self.names[j])
+        pairs = {key: m for key, m in sorted(given.items()) if m != 2}
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_slots", slots)
 
     def _key(self) -> tuple:
-        return (self.names, self.matrix)  # equality and hashing skip the label
+        return (self.names, tuple(self.pairs.items()))  # the label is left out
 
     @property
     def rank(self) -> int:
@@ -77,48 +80,63 @@ class CoxeterSystem(Record):
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._slots[name]
+        except KeyError:
             raise CoxeterError(f"no generator named {name!r}") from None
 
     def order(self, a: str, b: str):
-        return self.matrix[self.index(a)][self.index(b)]
+        i, j = sorted((self.index(a), self.index(b)))
+        return 1 if i == j else self.pairs.get((i, j), 2)
 
     def edges(self) -> list[tuple[int, int, object]]:
-        """Pairs with order > 2, i.e. the edges of the Coxeter graph."""
-        out = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                m = self.matrix[i][j]
-                if m is INF or m > 2:
-                    out.append((i, j, m))
-        return out
+        """The edges (i, j, order) of the Coxeter graph, in increasing (i, j)."""
+        return [(i, j, m) for (i, j), m in self.pairs.items()]
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "names": list(self.names),
-            "matrix": [
-                ["inf" if x is INF else x for x in row] for row in self.matrix
-            ],
-        }
+        n = self.rank
+        matrix = [[2] * i + [1] + [2] * (n - 1 - i) for i in range(n)]
+        for (i, j), m in self.pairs.items():
+            matrix[i][j] = matrix[j][i] = "inf" if m is INF else m
+        out: dict = {"names": list(self.names), "matrix": matrix}
         if self.label is not None:
             out["label"] = self.label
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoxeterSystem":
+        """The system of a dense order matrix, every entry checked in row
+        order, pair (i, j) at row i's column j > i.  A pair of two int 2s
+        passes every check, so only the other pairs are looked at."""
         try:
             if not isinstance(data["names"], list):
                 raise CoxeterError("'names' must be a list of generator names")
             if not isinstance(data.get("label"), (str, type(None))):
                 raise CoxeterError("'label' must be a string")
             names = tuple(data["names"])
-            rows = []
-            for row in data["matrix"]:
-                rows.append(tuple(INF if x == "inf" else x for x in row))
+            rows = [r if isinstance(r, (list, tuple)) else list(r) for r in data["matrix"]]
         except (KeyError, TypeError) as exc:
             raise CoxeterError(f"malformed Coxeter JSON: {exc}") from exc
-        return cls(names, tuple(rows), label=data.get("label"))
+        _slots(names)
+        n = len(names)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise CoxeterError(f"matrix must be {n}x{n}")
+        todo = {(i, i) for i in range(n)}
+        for i, row in enumerate(rows):
+            ends = (j for j, x in enumerate(row) if x != 2 or type(x) is not int)
+            todo.update((min(i, j), max(i, j)) for j in ends)
+        pairs = {}
+        for i, j in sorted(todo):
+            m, mirror = (INF if x == "inf" else x for x in (rows[i][j], rows[j][i]))
+            if i == j:
+                if m != 1 or type(m) is not int:
+                    raise CoxeterError("diagonal entries must be 1")
+                continue
+            if m is not mirror and m != mirror:
+                raise CoxeterError("matrix must be symmetric")
+            for x in (m, mirror):
+                _check_pair_order(x, names[i], names[j])
+            pairs[i, j] = m
+        return cls(names, pairs, label=data.get("label"))
 
 
 def system_from_edges(
@@ -128,20 +146,15 @@ def system_from_edges(
 ) -> CoxeterSystem:
     """Build a system from its graph; unlisted pairs commute (order 2)."""
     names = tuple(names)
-    idx = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    m = [[2] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 1
+    slots = _slots(names)
+    pairs = {}
     for a, b, order in edges:
         try:
-            i, j = idx[a], idx[b]
+            i, j = slots[a], slots[b]
         except KeyError as exc:
-            raise CoxeterError(
-                f"edge endpoint {exc.args[0]!r} is not a generator"
-            ) from None
-        m[i][j] = m[j][i] = order
-    return CoxeterSystem(names, tuple(tuple(r) for r in m), label=label)
+            raise CoxeterError(f"edge endpoint {exc.args[0]!r} is not a generator") from None
+        pairs[min(i, j), max(i, j)] = order
+    return CoxeterSystem(names, pairs, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +162,14 @@ def system_from_edges(
 
 
 def linear(
-    labels: Sequence,
-    names: Sequence[str] | None = None,
-    label: Optional[str] = None,
+    labels: Sequence, names: Sequence[str] | None = None, label: Optional[str] = None
 ) -> CoxeterSystem:
     """A chain with the given consecutive edge labels (rank len(labels)+1)."""
-    k = len(labels) + 1
     if names is None:
-        names = tuple(f"s{i}" for i in range(1, k + 1))
-    names = tuple(names)
-    if len(names) != k:
+        names = [f"s{i}" for i in range(1, len(labels) + 2)]
+    if len(names) != len(labels) + 1:
         raise CoxeterError("need one more name than labels")
-    return system_from_edges(
-        names,
-        [(names[i], names[i + 1], labels[i]) for i in range(k - 1)],
-        label=label,
-    )
+    return system_from_edges(names, zip(names, names[1:], labels), label=label)
 
 
 def type_A(n: int) -> CoxeterSystem:
@@ -267,23 +272,15 @@ def from_name(name: str) -> CoxeterSystem:
             k = int(bits[0])
         except ValueError:
             raise CoxeterError(f"cannot parse rank in {name!r}") from None
-        labels = []
-        for b in bits[1:]:
-            if b.lower() in ("inf", "oo"):
-                labels.append(INF)
-            elif b.isdigit():
-                labels.append(int(b))
-            else:
-                raise CoxeterError(f"bad edge label {b!r} in {name!r}")
+        bad = [b for b in bits[1:] if not b.isdigit() and b.lower() not in ("inf", "oo")]
+        if bad:
+            raise CoxeterError(f"bad edge label {bad[0]!r} in {name!r}")
+        labels = [int(b) if b.isdigit() else INF for b in bits[1:]]
         if len(labels) != k - 1:
             raise CoxeterError(f"L{k} needs {k-1} labels, got {len(labels)}")
-        if k == 4 and labels == [3, 4, 4]:
-            return L4_344()
-        if k == 3 and labels == [4, 4]:
-            return L3_44()
-        if k == 3 and labels == [4, INF]:
-            return L3_4inf()
-        return linear(labels)
+        chain = linear(labels)
+        named = (L4_344(), L3_44(), L3_4inf())
+        return next((s for s in named if (s.rank, s.pairs) == (k, chain.pairs)), chain)
     raise CoxeterError(f"unknown Coxeter system name {name!r}")
 
 
@@ -291,15 +288,13 @@ def from_name(name: str) -> CoxeterSystem:
 # the Gram matrix of the geometric representation
 
 
-def _gram(system: CoxeterSystem) -> tuple[tuple[QSqrt2, ...], ...]:
-    n = system.rank
-    return tuple(
-        tuple(
-            -ONE if i == j else _cos_pi_over(system.matrix[i][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def _gram_rows(system: CoxeterSystem) -> list[dict[int, QSqrt2]]:
+    """Row i of the Gram matrix as {column: entry} over its nonzero entries:
+    the diagonal, then i's neighbours in increasing order."""
+    rows = [{i: -ONE} for i in range(system.rank)]
+    for (i, j), m in system.pairs.items():
+        rows[i][j] = rows[j][i] = _cos_pi_over(m)
+    return rows
 
 
 def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
@@ -309,30 +304,44 @@ def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
     swap has been needed the k-th pivot is the ratio of the k-th to the
     (k-1)-th leading principal minor, so -Gram is positive definite exactly
     when every pivot is negative; a needed swap means a minor vanished.
+    Rows keep only their nonzero entries and ``below[c]`` the rows with an
+    entry in column c: the dense arithmetic with the zeros skipped.  Along
+    a tree, as in every named system, nothing fills in, so the cost is
+    linear in the rank.
     """
-    rows = [list(row) for row in _gram(system)]
+    rows = _gram_rows(system)
     n = len(rows)
+    below = [set(row) for row in rows]  # Gram is symmetric
     det = -ONE if n % 2 else ONE  # det(-Gram) = (-1)^n det(Gram)
     definite = True
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        pivot_row = min((r for r in below[col] if r >= col), default=None)
         if pivot_row is None:
             return ZERO, False
         if pivot_row != col:
+            for c in rows[col].keys() ^ rows[pivot_row].keys():
+                below[c] ^= {col, pivot_row}
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
             definite = False
         pivot = rows[col][col]
         det = det * pivot
         definite = definite and pivot.sign() < 0
-        # columns <= col are never read again, so only the pivot row's
-        # nonzero entries to the right are subtracted
-        tail = [(c, rows[col][c]) for c in range(col + 1, n) if rows[col][c]]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                for c, y in tail:
-                    rows[r][c] = rows[r][c] - factor * y
+        # columns < col are gone from the rows below: the tail lies to the right
+        tail = [(c, y) for c, y in rows[col].items() if c != col]
+        for r in below[col]:
+            if r <= col:
+                continue
+            row = rows[r]
+            factor = row.pop(col) / pivot
+            for c, y in tail:
+                x = row.get(c, ZERO) - factor * y
+                if x:
+                    row[c] = x
+                    below[c].add(r)
+                else:
+                    row.pop(c, None)
+                    below[c].discard(r)
     return det, definite
 
 
@@ -422,17 +431,13 @@ def crystallographic_lattice_invariance(
     the identity under the rescaling, so only row j of sigma_j is checked.
     """
     names = struct.system.names
-    gram = _gram(struct.system)
     scales = [struct.scale(n) for n in names]
     bad = []
-    for j, g in enumerate(names):
-        for c, name in enumerate(names):
-            entry = (ONE if c == j else ZERO) + 2 * gram[c][j]
-            if not entry:
-                continue  # zero under every rescaling
-            entry = entry * scales[c] / scales[j]
+    for j, (g, row) in enumerate(zip(names, _gram_rows(struct.system))):
+        for c, x in row.items():  # an entry off j's row of Gram is 0 at any scale
+            entry = ((ONE if c == j else ZERO) + 2 * x) * scales[c] / scales[j]
             if not entry.is_integer():
-                bad.append(f"generator {g}: entry ({g},{name}) = {entry}")
+                bad.append(f"generator {g}: entry ({g},{names[c]}) = {entry}")
     return CrystalReport(not bad, tuple(bad))
 
 
@@ -443,17 +448,11 @@ def standard_crystal(name: str) -> CrystallographicStructure:
     everything reachable through label-3/oo edges shares its part, label-4
     edges flip parts.
     """
-    text = name.strip()
-    upper = text.upper()
-    if upper.startswith("BE") or upper.startswith("BD"):
-        sys_ = from_name(text)
-        return CrystallographicStructure(sys_, frozenset({sys_.names[-1]}))
-    if upper in ("L4-3-4-4",):
-        return CrystallographicStructure(L4_344(), frozenset({"s3"}))
-    if upper in ("L3-4-4",):
-        return CrystallographicStructure(L3_44(), frozenset({"s2"}))
-    if upper in ("L3-4-INF",):
-        return CrystallographicStructure(L3_4inf(), frozenset({"s2", "s0*"}))
-    if upper in ("I2-INF",):
-        return CrystallographicStructure(I2_inf(), frozenset({"s1", "s1*"}))
-    raise CoxeterError(f"no standard crystallographic structure for {name!r}")
+    upper = name.strip().upper()
+    splits = {
+        "L4-3-4-4": {"s3"}, "L3-4-4": {"s2"}, "L3-4-INF": {"s2", "s0*"}, "I2-INF": {"s1", "s1*"}
+    }
+    if upper[:2] not in ("BE", "BD") and upper not in splits:
+        raise CoxeterError(f"no standard crystallographic structure for {name!r}")
+    system = from_name(name)
+    return CrystallographicStructure(system, frozenset(splits.get(upper, {system.names[-1]})))

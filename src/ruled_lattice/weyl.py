@@ -196,19 +196,23 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     return coxeter._chain_with_leg(3, 2, "L3-4-4", tail=4, leg_label=4)
 
 
-def _product_order(
-    first: RootAction, then: RootAction, rank: int, cap: int
-) -> Optional[int]:
-    """Order of ``then`` after ``first`` on Z^rank; None when above ``cap``.
+def _product_order(first: RootAction, then: RootAction, cap: int) -> Optional[int]:
+    """Order of ``then`` after ``first`` on the lattice; None when above ``cap``.
 
     The order is the lcm of the periods of the basis vectors, each followed
     through the sparse root actions.  A basis vector outside both dual
     supports pairs to zero with both roots and is fixed, so only the others
-    are followed: O(1) vectors, not ``rank``.
+    are followed, and only on the coordinates the two roots touch (at most
+    six for the wall roots): O(1) a pair, not O(rank).
     """
+    slots = {j for part in first + then for j, _ in part}
+    local = {j: k for k, j in enumerate(slots)}
+    first, then = (
+        tuple(tuple((local[j], c) for j, c in part) for part in act) for act in (first, then)
+    )
     order = 1
     for i in {j for j, _ in first[0] + then[0]}:
-        start = (0,) * i + (1,) + (0,) * (rank - i - 1)
+        start = (0,) * i + (1,) + (0,) * (len(slots) - i - 1)
         v = start
         for k in range(1, cap + 1):
             v = reflect_coeffs(then, reflect_coeffs(first, v))
@@ -269,13 +273,10 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
     combinatorial claim, so the two routes stay separate.
     """
     expected = expected_coxeter_system(gens.model)
-    rank = gens.model.rank
     entries = []
     for i, a in enumerate(gens.names):
         for b in gens.names[i + 1 :]:
-            computed = _product_order(
-                gens.root_action(b), gens.root_action(a), rank, cap
-            )
+            computed = _product_order(gens.root_action(b), gens.root_action(a), cap)
             entries.append(PresentationEntry(a, b, expected.order(a, b), computed))
     return PresentationReport(gens.model, tuple(entries), expected)
 
@@ -867,29 +868,29 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
     # only the zero walls' classes are built; the twist s_l, the last wall,
     # is never a member
-    members = [
-        (f"s{i}", _generator_class(p.model, i))
-        for i, w in enumerate(walls[:-1])
-        if w == 0
-    ]
-    names = [n for n, _ in members]
-    classes = [c for _, c in members]
-    edges = []
+    zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
+    names = [f"s{i}" for i in zero]
+    classes = [_generator_class(p.model, i) for i in zero]
+    # each basis slot's members, so a member meets only those sharing a
+    # slot with its dual support (a wall root has at most 4 slots)
+    actions = [root_action(c) for c in classes]
+    touching: dict[int, list[int]] = {}
+    for k, (_, shift) in enumerate(actions):
+        for j, _ in shift:
+            touching.setdefault(j, []).append(k)
     adj: dict[str, list[str]] = {n: [] for n in names}
-    for i, (na, ca) in enumerate(members):
-        dual = root_action(ca)[0]  # ca.cb over the support of ca only
-        for nb, cb in members[i + 1 :]:
-            val = sum(cb.coeffs[j] * g for j, g in dual)
+    for a, na in enumerate(names):
+        dual = actions[a][0]  # ca.cb over the support of ca only
+        for b in sorted({b for j, _ in dual for b in touching.get(j, ()) if b > a}):
+            val = sum(classes[b].coeffs[j] * g for j, g in dual)
             if val not in (-1, 0, 1):
-                raise InternalConsistencyError(
-                    f"wall classes {na}, {nb} pair to {val}"
-                )
+                raise InternalConsistencyError(f"wall classes {na}, {names[b]} pair to {val}")
             if val != 0:
-                edges.append((na, nb, 3))
-                adj[na].append(nb)
-                adj[nb].append(na)
+                adj[na].append(names[b])
+                adj[names[b]].append(na)
     from . import coxeter
 
+    edges = [(na, nb, 3) for na in names for nb in adj[na]]
     system = coxeter.system_from_edges(tuple(names), edges)
     labels = []
     unvisited = set(names)

@@ -1,6 +1,8 @@
 """Coxeter systems: named graphs, finiteness, orders, crystal splits."""
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -13,7 +15,6 @@ from ruled_lattice.coxeter import (
     L3_4inf,
     L3_44,
     L4_344,
-    _gram,
     crystallographic_lattice_invariance,
     from_name,
     gram_determinant,
@@ -75,12 +76,12 @@ def test_named_ranks_and_labels():
     assert from_name("I2-inf") == I2_inf()
 
 
-def _drawn(n: int, edges) -> tuple:
-    """The order matrix on s0..s_{n-1} of a graph given by index edges."""
+def _drawn(n: int, edges) -> list:
+    """The JSON order matrix on s0..s_{n-1} of a graph given by index edges."""
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
     for i, j, order in edges:
         m[i][j] = m[j][i] = order
-    return tuple(tuple(row) for row in m)
+    return m
 
 
 def _chain(n: int, tail: int = 3) -> list:
@@ -119,7 +120,8 @@ def test_edge_fixtures():
     for system, edges, label in _pinned_graphs():
         n = system.rank
         assert system.names == tuple(f"s{i}" for i in range(n)), label
-        assert system.matrix == _drawn(n, edges), label
+        assert system.to_json_dict()["matrix"] == _drawn(n, edges), label
+        assert system.edges() == sorted(edges), label
         assert system.label == label
     be5 = type_BE(5)
     # chain s1-s2-s3=s4 with s0 hanging off s3
@@ -144,6 +146,35 @@ def test_json_round_trip_keeps_infinite_labels():
         back = CoxeterSystem.from_json_dict(system.to_json_dict())
         assert back == system
         assert back.label == system.label
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ([[1, 2]], "matrix must be 2x2"),
+        ([[1, 2], [3, 1]], "matrix must be symmetric"),  # the 2 above is checked too
+        ([[1, 2], [2, 1.0]], "diagonal entries must be 1"),
+        ([[True, 2], [2, 1]], "diagonal entries must be 1"),
+        ([[1, 5], [5, 1]], "unsupported pair order 5 between a and b"),
+        ([[1, 3], [3.0, 1]], "unsupported pair order 3.0 between a and b"),
+        ([[1, 2], [2.0, 1]], "unsupported pair order 2.0 between a and b"),
+        ([[1, True], [True, 1]], "unsupported pair order True between a and b"),
+        ([[1, "x"], ["x", 1]], "unsupported pair order 'x' between a and b"),
+        ([5, 6], "malformed Coxeter JSON: 'int' object is not iterable"),
+        # the first failure in row order: row 0's pair (a, b), then row 1's
+        # diagonal, then the pair (b, c); an entry below the diagonal
+        # counts at its mirror
+        ([[1, 5, 2], [5, 1, 2], [2, 2, 0]], "unsupported pair order 5 between a and b"),
+        ([[1, 2, 2], [2, 0, 7], [2, 7, 1]], "diagonal entries must be 1"),
+        ([[1, 2, 2], [2, 1, 2], [3, 2, 1]], "matrix must be symmetric"),
+        ([[1, 2, 2], [2, 1, 7], [2, 7, 1]], "unsupported pair order 7 between b and c"),
+    ],
+)
+def test_json_reader_checks_every_entry(matrix, message):
+    names = ["a", "b", "c"][: max(2, len(matrix))]
+    with pytest.raises(CoxeterError) as exc:
+        CoxeterSystem.from_json_dict({"names": names, "matrix": matrix})
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +209,82 @@ def test_gram_determinant_values():
 _COS = {2: ZERO, 3: QSqrt2(Fraction(1, 2)), 4: QSqrt2(0, Fraction(1, 2)), INF: ONE}
 
 
+def _dense_gram(system) -> list:
+    """The n x n Gram matrix, every entry read through ``order``."""
+    names = system.names
+    return [[-ONE if a == b else _COS[system.order(a, b)] for b in names] for a in names]
+
+
+def _dense_elimination(system) -> tuple:
+    """(det(-Gram), -Gram positive definite) by dense Gaussian elimination:
+    the first nonzero row below swaps up, and while no swap is needed each
+    pivot is a ratio of consecutive leading minors of Gram."""
+    rows = _dense_gram(system)
+    n = len(rows)
+    det = -ONE if n % 2 else ONE
+    definite = True
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return ZERO, False
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+            definite = False
+        pivot = rows[col][col]
+        det = det * pivot
+        definite = definite and pivot.sign() < 0
+        tail = [(c, rows[col][c]) for c in range(col + 1, n) if rows[col][c]]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] / pivot
+                for c, y in tail:
+                    rows[r][c] = rows[r][c] - factor * y
+    return det, definite
+
+
+def _random_graphs(count: int, seed: int = 16):
+    """Seeded graphs of 1..8 nodes, cycles and oo labels included, their
+    nodes in a shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = [f"g{i}" for i in range(rng.randint(1, 8))]
+        edges = [
+            (a, b, rng.choice((3, 3, 4, INF)))
+            for a, b in itertools.combinations(names, 2)
+            if rng.random() < 0.45
+        ]
+        rng.shuffle(names)
+        yield system_from_edges(names, edges)
+
+
+def test_sparse_elimination_matches_the_dense_reference():
+    systems = [type_A(n) for n in range(1, 12)] + [type_B(n) for n in range(2, 12)]
+    systems += [type_D(n) for n in range(2, 12)] + [type_E(n) for n in range(3, 10)]
+    systems += [type_BE(n) for n in range(5, 41)] + [type_BD(n) for n in range(4, 41)]
+    systems += [expected_coxeter_system(rational_model(l)) for l in range(3, 41)]
+    systems += [expected_coxeter_system(ruled_model(l)) for l in range(2, 41)]
+    systems += [L4_344(), L3_44(), L3_4inf(), I2_inf()]
+    randoms = list(_random_graphs(400))
+    # the random graphs reach every branch: cycles, swaps, zero columns
+    assert any(len(s.edges()) >= s.rank for s in randoms)
+    assert any(not gram_determinant(s) for s in randoms)
+    for system in systems + randoms:
+        assert (gram_determinant(system), is_finite_type(system)) == _dense_elimination(
+            system
+        ), system
+
+
+def test_elimination_is_linear_along_a_tree():
+    # the dense Gram of BE1500 alone holds 2.25 million entries; the sparse
+    # rows of the tree hold about 4500 and never fill in
+    start = time.perf_counter()
+    system = type_BE(1500)
+    assert not is_finite_type(system)
+    assert gram_determinant(system) == QSqrt2(Fraction(-1, 2**1499))
+    assert time.perf_counter() - start < 1.0
+
+
 def _leibniz_det(matrix) -> QSqrt2:
     """Determinant as a sum over permutations: no elimination, no pivots."""
     total = ZERO
@@ -208,10 +315,7 @@ def test_elimination_matches_leibniz_minors():
     assert from_name("L3-inf-3") in systems and from_name("L4-4-4-4") in systems
     for system in systems:
         n = system.rank
-        neg = [
-            [ONE if i == j else -_COS[system.matrix[i][j]] for j in range(n)]
-            for i in range(n)
-        ]
+        neg = [[-x for x in row] for row in _dense_gram(system)]
         minors = [_leibniz_det([row[:k] for row in neg[:k]]) for k in range(1, n + 1)]
         assert gram_determinant(system) == minors[-1], system
         assert is_finite_type(system) == all(d > 0 for d in minors), system
@@ -241,7 +345,7 @@ def _geometric_generators(system):
     the identity.
     """
     n = system.rank
-    gram = _gram(system)
+    gram = _dense_gram(system)
     gens = []
     for j in range(n):
         rows = list(_mat_identity(n))
@@ -352,6 +456,36 @@ def test_crystal_matrix_route_checks_only_generator_rows():
         "generator s5: entry (s5,s6) = 1*sqrt2",
         "generator s6: entry (s6,s5) = 1*sqrt2",
     )
+
+
+def test_crystal_matrix_route_is_linear_in_the_edges(monkeypatch):
+    # row j of sigma_j comes from j's neighbours: one cosine per edge of
+    # BE400, where reading all pair orders would take 79 800 and a dense
+    # rebuild per read ran for minutes
+    from ruled_lattice import coxeter
+
+    struct = standard_crystal("BE400")
+    real, calls = coxeter._cos_pi_over, 0
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return real(m)
+
+    def unused(*args):
+        raise AssertionError("the matrix route read a pair order")
+
+    monkeypatch.setattr(coxeter, "_cos_pi_over", counting)
+    monkeypatch.setattr(CoxeterSystem, "order", unused)
+    for short in (struct.short, struct.short ^ {"s0", "s200"}):
+        split = CrystallographicStructure(struct.system, short)
+        calls = 0
+        by_matrices = crystallographic_lattice_invariance(split)
+        by_edges = verify_crystallographic(split)
+        assert calls == len(split.system.edges()) == 399
+        # a crossing label-3 edge breaks both of its generators' rows
+        assert len(by_matrices.violations) == 2 * len(by_edges.violations)
+    assert not by_matrices.ok and len(by_edges.violations) == 3
 
 
 def test_all_long_is_fine_when_simply_laced():

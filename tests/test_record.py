@@ -43,7 +43,7 @@ def _samples() -> dict:
         weyl.ClassReduction: (True, word, e1, None),
         weyl.LagrangianSystem: (model, ("s1",), (e1 - e1,), a2, ("A1",)),
         weyl.MaximalMembership: ("A2", ("s1", "s2")),
-        coxeter.CoxeterSystem: (a2.names, a2.matrix, "A2"),
+        coxeter.CoxeterSystem: (a2.names, tuple(a2.pairs.items()), "A2"),
         coxeter.CrystallographicStructure: (a2, frozenset({"s1"})),
         coxeter.CrystalReport: (False, ("s1-s2",)),
         sw.SphereCandidate: (3, (2, 1, 1)),
@@ -111,7 +111,7 @@ def test_record_semantics():
 
     # the defaults themselves
     a2 = coxeter.from_name("A2")
-    assert coxeter.CoxeterSystem(a2.names, a2.matrix).label is None
+    assert coxeter.CoxeterSystem(a2.names, a2.pairs).label is None
     assert coxeter.CrystalReport(True).violations == ()
     assert sw.CertifyResult(sw.Verdict.VIOLATION).dolgachev_m is None
     assert catalog.GroupDescription("G", catalog.Cyclic(2)).notes == ()
@@ -120,9 +120,9 @@ def test_record_semantics():
     )
 
     # a CoxeterSystem's label is a display name, outside equality
-    unlabelled = coxeter.CoxeterSystem(a2.names, a2.matrix)
+    unlabelled = coxeter.CoxeterSystem(a2.names, a2.pairs)
     assert unlabelled == a2 and hash(unlabelled) == hash(a2)
-    assert coxeter.CoxeterSystem(a2.names, ((1, 4), (4, 1)), "A2") != a2
+    assert coxeter.CoxeterSystem(a2.names, {(0, 1): 4}, "A2") != a2
 
     # a node's kind is a class constant, still written as its JSON tag
     nodes = [c for c in samples if issubclass(c, catalog.GroupNode)]

@@ -141,7 +141,7 @@ def test_product_order_follows_only_the_support_union(monkeypatch):
         for b in gens.names[i + 1 :]:
             first, then = gens.root_action(b), gens.root_action(a)
             calls = 0
-            order = weyl._product_order(first, then, gens.model.rank, 16)
+            order = weyl._product_order(first, then, 16)
             union = {j for j, _ in first[0] + then[0]}
             assert calls <= 2 * order * len(union), (a, b, calls)
     assert verify_presentation(gens).ok

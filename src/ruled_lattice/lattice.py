@@ -324,7 +324,8 @@ def _reflection_coefficient(s: HomologyClass) -> int:
     )
 
 
-RootAction = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+Sparse = tuple[tuple[int, int], ...]  # (slot, coefficient) pairs
+RootAction = tuple[Sparse, Sparse]
 
 
 def root_action(s: HomologyClass) -> RootAction:
@@ -335,11 +336,14 @@ def root_action(s: HomologyClass) -> RootAction:
     ``coef`` and the accepted squares are those of ``reflection_along``.
     """
     coef = _reflection_coefficient(s)
-    head = s.model.head
     support = [(i, c) for i, c in enumerate(s.coeffs) if c]
-    # G fixes L, swaps Y and F, and negates every E_i
-    dual = tuple((head - 1 - i, c) if i < head else (i, -c) for i, c in support)
-    return dual, tuple((i, coef * c) for i, c in support)
+    return _dual(s.model.head, support), tuple((i, coef * c) for i, c in support)
+
+
+def _dual(head: int, support) -> Sparse:
+    """G s over the (slot, coefficient) pairs of s: G fixes L, swaps Y and
+    F, and negates every E_i, so x.s is the sum of x_j * g over the pairs."""
+    return tuple((head - 1 - i, c) if i < head else (i, -c) for i, c in support)
 
 
 def reflect_coeffs(action: RootAction, coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -380,63 +384,38 @@ def positive_cone_contains(c: HomologyClass) -> bool:
 # named classes
 
 
-def _basis_class(model: ManifoldModel, index: int) -> HomologyClass:
+def _sparse_class(model: ManifoldModel, support) -> HomologyClass:
+    """The class with the given (slot, coefficient) pairs, zero elsewhere."""
     coeffs = [0] * model.rank
-    coeffs[index] = 1
+    for i, c in support:
+        coeffs[i] = c
     return HomologyClass._trusted(model, tuple(coeffs))
 
 
 def line_class(model: ManifoldModel) -> HomologyClass:
     if model.kind is not Kind.RATIONAL:
         raise LatticeError("line class exists only in the rational model")
-    return _basis_class(model, 0)
+    return _sparse_class(model, ((0, 1),))
 
 
 def section_class(model: ManifoldModel) -> HomologyClass:
     if model.kind is not Kind.RULED:
         raise LatticeError("section class exists only in the ruled model")
-    return _basis_class(model, 0)
+    return _sparse_class(model, ((0, 1),))
 
 
 def fiber_class(model: ManifoldModel) -> HomologyClass:
     if model.kind is not Kind.RULED:
         raise LatticeError("fiber class exists only in the ruled model")
-    return _basis_class(model, 1)
+    return _sparse_class(model, ((1, 1),))
 
 
 def exceptional_class(model: ManifoldModel, i: int) -> HomologyClass:
-    return _basis_class(model, model.exceptional_index(i))
-
-
-def adjacent_difference(model: ManifoldModel, i: int) -> HomologyClass:
-    """E_i - E_{i+1}, the wall class swapping two adjacent exceptional spheres."""
-    if not 1 <= i <= model.blowups - 1:
-        raise LatticeError(f"adjacent difference needs 1 <= i <= {model.blowups - 1}")
-    return exceptional_class(model, i) - exceptional_class(model, i + 1)
-
-
-def line_triple_wall(model: ManifoldModel) -> HomologyClass:
-    """L - E_1 - E_2 - E_3, the extra wall class of the rational model."""
-    if model.kind is not Kind.RATIONAL or model.blowups < 3:
-        raise LatticeError("line triple wall requires the rational model with >= 3 blowups")
-    c = line_class(model)
-    for i in (1, 2, 3):
-        c = c - exceptional_class(model, i)
-    return c
-
-
-def fiber_pair_wall(model: ManifoldModel) -> HomologyClass:
-    """F - E_1 - E_2, the extra wall class of the ruled model."""
-    if model.kind is not Kind.RULED or model.blowups < 2:
-        raise LatticeError("fiber pair wall requires the ruled model with >= 2 blowups")
-    return fiber_class(model) - exceptional_class(model, 1) - exceptional_class(model, 2)
+    return _sparse_class(model, ((model.exceptional_index(i), 1),))
 
 
 def anticanonical_class(model: ManifoldModel) -> HomologyClass:
     """3L - sum(E_i) for the rational model; its square is 9 - blowups."""
     if model.kind is not Kind.RATIONAL:
         raise LatticeError("anticanonical helper is only provided for the rational model")
-    c = 3 * line_class(model)
-    for i in range(1, model.blowups + 1):
-        c = c - exceptional_class(model, i)
-    return c
+    return _sparse_class(model, ((0, 3), *((j, -1) for j in range(1, model.rank))))

@@ -170,32 +170,34 @@ def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
 
 
 def _search_one_k(blowups: int, k: int) -> list[SphereCandidate]:
-    """All sorted m >= 0 with sum m_i^2 = k^2 + 1 and m_1 + m_2 + m_3 <= k."""
-    target = k * k + 1
+    """All sorted m >= 0 with sum m_i^2 = k^2 + 1 and m_1 + m_2 + m_3 <= k.
+
+    A depth-first walk, largest value first, on an explicit stack of one
+    [value tried, square sum owed, triple room left] per slot.  Once the
+    sum is met the tail is all zero, so the stack holds at most k^2 + 2
+    slots whatever ``blowups`` is.
+    """
     found: list[SphereCandidate] = []
-    prefix: list[int] = []
-
-    def descend(idx: int, bound: int, remaining: int, triple_room: int) -> None:
-        if idx == blowups:
-            if remaining == 0:
-                found.append(SphereCandidate(k, tuple(prefix)))
-            return
-        if remaining > (blowups - idx) * bound * bound:
-            return
-        top = min(bound, isqrt(remaining))
-        if idx < 3:
-            top = min(top, triple_room)
-        for v in range(top, -1, -1):
-            prefix.append(v)
-            descend(
-                idx + 1,
-                v,
-                remaining - v * v,
-                triple_room - v if idx < 3 else triple_room,
-            )
-            prefix.pop()
-
-    descend(0, k, target, k)
+    stack = [[k, k * k + 1, k]]
+    while stack:
+        idx = len(stack) - 1
+        slot = stack[idx]
+        v, owed, room = slot
+        rest = owed - v * v
+        if rest > (blowups - idx - 1) * v * v:
+            # the later slots, each at most v, cannot hold the rest, nor can
+            # they for a smaller v: back up one slot
+            stack.pop()
+            if stack:
+                stack[-1][0] -= 1
+        elif rest == 0:
+            m = (*(s[0] for s in stack), *(0,) * (blowups - idx - 1))
+            found.append(SphereCandidate(k, m))
+            slot[0] -= 1
+        else:
+            room = room - v if idx < 3 else room
+            top = min(v, isqrt(rest), room) if idx < 2 else min(v, isqrt(rest))
+            stack.append([top, rest, room])
     return found
 
 

@@ -39,13 +39,13 @@ from .lattice import (
     ManifoldModel,
     ModelMismatchError,
     RootAction,
+    Sparse,
     _check_int_coeffs,
     _check_length,
+    _dual,
     _pair_coeffs,
-    adjacent_difference,
+    _sparse_class,
     exceptional_class,
-    fiber_pair_wall,
-    line_triple_wall,
     positive_cone_contains,
     reflect_coeffs,
     reflection_along,
@@ -114,29 +114,30 @@ def _generator(table: dict, name: str):
 
 
 def _require_generators(model: ManifoldModel) -> None:
-    if model.kind is Kind.RATIONAL and model.blowups < 3:
-        raise LatticeError("the rational generator set needs at least 3 blowups")
-    if model.kind is Kind.RULED and model.blowups < 2:
-        raise LatticeError("the ruled generator set needs at least 2 blowups")
+    # s0 needs E_1..E_{4-h}: L - E1 - E2 - E3, resp. F - E1 - E2
+    need = 4 - model.head
+    if model.blowups < need:
+        raise LatticeError(f"the {model.kind.value} generator set needs at least {need} blowups")
 
 
-def _generator_class(model: ManifoldModel, i: int) -> HomologyClass:
-    """The class of the generator s_i, see the module docstring."""
-    if i == 0:
-        if model.kind is Kind.RATIONAL:
-            return line_triple_wall(model)
-        return fiber_pair_wall(model)
-    if i < model.blowups:
-        return adjacent_difference(model, i)
-    return exceptional_class(model, i)
+def _wall_roots(model: ManifoldModel) -> tuple[Sparse, ...]:
+    """The roots of s0..s_l as (slot, coefficient) pairs, at most 4 each.
+
+    Slot h + i - 1 holds E_i.  s0 is +1 at the head slot h - 1 (L, resp.
+    F) and -1 at the exceptional slots h..3, s_i is E_i - E_{i+1}, and the
+    twist s_l is E_l: the module docstring's generators, built in O(l).
+    """
+    _require_generators(model)
+    h, l = model.head, model.blowups
+    s0 = ((h - 1, 1), *((j, -1) for j in range(h, 4)))
+    swaps = (((j, 1), (j + 1, -1)) for j in range(h, h + l - 1))
+    return (s0, *swaps, ((h + l - 1, 1),))
 
 
 def generator_set(model: ManifoldModel) -> GeneratorSet:
-    _require_generators(model)
-    indices = range(model.blowups + 1)
-    names = tuple(f"s{i}" for i in indices)
-    classes = tuple(_generator_class(model, i) for i in indices)
-    return GeneratorSet(model, names, classes)
+    roots = _wall_roots(model)
+    names = tuple(f"s{i}" for i in range(len(roots)))
+    return GeneratorSet(model, names, tuple(_sparse_class(model, r) for r in roots))
 
 
 class GroupWord(Record):
@@ -584,7 +585,7 @@ class PeriodReduction(Record):
 def _s0_period(c: Sequence[int], h: int) -> int:
     """The period over the extra wall s0, from the dual coefficients ``c``.
 
-    s0 is L - E1 - E2 - E3, resp. F - E1 - E2: +1 at the head slot h - 1
+    s0 is the first root of ``_wall_roots``: +1 at the head slot h - 1
     (L, resp. F) and -1 at the exceptional slots h..3.  The form pairs slot
     h - 1 with slot 0 and negates each E_i, so the period is c[0] + c[h] +
     ... + c[3]; crossing the wall adds the period times s0 to ``c``.
@@ -866,23 +867,23 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     walls = p.wall_periods()
     if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
-    # only the zero walls' classes are built; the twist s_l, the last wall,
+    # the zero walls' roots, from the table; the twist s_l, the last wall,
     # is never a member
+    roots = _wall_roots(p.model)
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
     names = [f"s{i}" for i in zero]
-    classes = [_generator_class(p.model, i) for i in zero]
+    members = [dict(roots[i]) for i in zero]
     # each basis slot's members, so a member meets only those sharing a
     # slot with its dual support (a wall root has at most 4 slots)
-    actions = [root_action(c) for c in classes]
     touching: dict[int, list[int]] = {}
-    for k, (_, shift) in enumerate(actions):
-        for j, _ in shift:
+    for k, root in enumerate(members):
+        for j in root:
             touching.setdefault(j, []).append(k)
     adj: dict[str, list[str]] = {n: [] for n in names}
     for a, na in enumerate(names):
-        dual = actions[a][0]  # ca.cb over the support of ca only
+        dual = _dual(p.model.head, members[a].items())  # ca.cb over ca's slots
         for b in sorted({b for j, _ in dual for b in touching.get(j, ()) if b > a}):
-            val = sum(classes[b].coeffs[j] * g for j, g in dual)
+            val = sum(members[b].get(j, 0) * g for j, g in dual)
             if val not in (-1, 0, 1):
                 raise InternalConsistencyError(f"wall classes {na}, {names[b]} pair to {val}")
             if val != 0:
@@ -904,7 +905,8 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     return LagrangianSystem(
         p.model,
         tuple(names),
-        tuple(classes),
+        # built only because the payload prints them
+        tuple(_sparse_class(p.model, roots[i]) for i in zero),
         system,
         _sorted_component_labels(labels),
     )

@@ -14,13 +14,10 @@ from ruled_lattice.lattice import (
     ManifoldModel,
     ModelMismatchError,
     UnsupportedReflectionError,
-    adjacent_difference,
     anticanonical_class,
     exceptional_class,
     fiber_class,
-    fiber_pair_wall,
     line_class,
-    line_triple_wall,
     pairing,
     positive_cone_contains,
     rational_model,
@@ -37,6 +34,19 @@ U2 = ruled_model(2)
 
 def _cls(model, *coeffs):
     return HomologyClass(model, coeffs)
+
+
+def _extra_wall(model):
+    """L - E1 - E2 - E3, resp. F - E1 - E2, written out."""
+    if model.kind is Kind.RATIONAL:
+        return HomologyClass(model, (1, -1, -1, -1) + (0,) * (model.blowups - 3))
+    return HomologyClass(model, (0, 1, -1, -1) + (0,) * (model.blowups - 2))
+
+
+def _adjacent_difference(model, i):
+    """E_i - E_{i+1}, written out."""
+    before = model.head + i - 1
+    return HomologyClass(model, (0,) * before + (1, -1) + (0,) * (model.rank - before - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +124,10 @@ def test_basis_squares_and_pairings():
 
 
 def test_named_classes():
-    assert line_triple_wall(R3).coeffs == (1, -1, -1, -1)
-    assert line_triple_wall(R3).square == -2
-    assert fiber_pair_wall(U2).coeffs == (0, 1, -1, -1)
-    assert fiber_pair_wall(U2).square == -2
-    assert adjacent_difference(R3, 2).coeffs == (0, 0, 1, -1)
+    assert _cls(R3, 1, -1, -1, -1).square == -2  # L - E1 - E2 - E3
+    assert _cls(U2, 0, 1, -1, -1).square == -2  # F - E1 - E2
+    assert _cls(R3, 0, 0, 1, -1).square == -2  # E2 - E3
+    assert _adjacent_difference(U2, 1) == _cls(U2, 0, 0, 1, -1)
     assert anticanonical_class(R3).square == 9 - 3
     assert anticanonical_class(rational_model(9)).square == 0
 
@@ -132,12 +141,6 @@ def test_named_class_guards():
         section_class(R3)
     with pytest.raises(LatticeError):
         exceptional_class(R3, 4)
-    with pytest.raises(LatticeError):
-        adjacent_difference(R3, 3)
-    with pytest.raises(LatticeError):
-        line_triple_wall(rational_model(2))
-    with pytest.raises(LatticeError):
-        fiber_pair_wall(ruled_model(1))
     with pytest.raises(LatticeError):
         anticanonical_class(U2)
 
@@ -180,7 +183,7 @@ def test_class_json_round_trip():
 
 def test_wall_reflection_fixture():
     # reflecting along L - E1 - E2 - E3 sends L to 2L - E1 - E2 - E3
-    r = reflection_along(line_triple_wall(R3))
+    r = reflection_along(_cls(R3, 1, -1, -1, -1))
     assert r.apply(line_class(R3)).coeffs == (2, -1, -1, -1)
     assert r.apply(exceptional_class(R3, 1)).coeffs == (1, 0, -1, -1)
 
@@ -235,12 +238,7 @@ def test_pairing_is_symmetric_and_bilinear(data):
 @given(model_and_classes(2))
 def test_reflections_preserve_the_form(data):
     model, a, b = data
-    mirrors = [exceptional_class(model, 1)]
-    if model.kind is Kind.RATIONAL:
-        mirrors.append(line_triple_wall(model))
-    else:
-        mirrors.append(fiber_pair_wall(model))
-    for mirror in mirrors:
+    for mirror in (exceptional_class(model, 1), _extra_wall(model)):
         r = reflection_along(mirror)
         assert pairing(r.apply(a), r.apply(b)) == pairing(a, b)
         assert (r @ r).matrix == LatticeAutomorphism.identity(model).matrix
@@ -250,11 +248,8 @@ def _random_mirrors(model, rng, count):
     """Square -1 and -2 classes: a simple mirror moved by random reflection
     matrices along the simple mirrors."""
     simple = [exceptional_class(model, i) for i in range(1, model.blowups + 1)]
-    simple += [adjacent_difference(model, i) for i in range(1, model.blowups)]
-    if model.kind is Kind.RATIONAL:
-        simple.append(line_triple_wall(model))
-    else:
-        simple.append(fiber_pair_wall(model))
+    simple += [_adjacent_difference(model, i) for i in range(1, model.blowups)]
+    simple.append(_extra_wall(model))
     for _ in range(count):
         m = rng.choice(simple)
         for _ in range(rng.randrange(8)):
@@ -284,7 +279,7 @@ def test_root_action_matches_the_reflection_matrix():
 
 def test_composition_applies_right_factor_first():
     t1 = reflection_along(exceptional_class(R3, 1))
-    s1 = reflection_along(adjacent_difference(R3, 1))
+    s1 = reflection_along(_cls(R3, 0, 1, -1, 0))
     e1 = exceptional_class(R3, 1)
     # (s1 @ t1) does the twist first: E1 -> -E1 -> -E2
     assert (s1 @ t1).apply(e1).coeffs == (0, 0, -1, 0)

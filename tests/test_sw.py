@@ -1,5 +1,6 @@
 """Adjunction-style sphere constraints: certification and the dichotomy search."""
 
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from ruled_lattice.sw import (
     SphereCandidate,
     SWError,
     Verdict,
+    _search_one_k,
     certify_sphere_class,
     dichotomy_search,
     dolgachev_candidate,
@@ -247,6 +249,27 @@ def test_search_results_are_sorted_irreducible_and_prohibited():
         assert sum(c.m[:3]) <= c.k
         # the canary: none of these may pass the genus bound
         assert certify_sphere_class(c).verdict is Verdict.SW_PROHIBITED
+
+
+def test_search_matches_a_brute_force_enumeration():
+    for blowups in range(3, 11):
+        for k in range(2, 6):
+            # every non-increasing m in 0..k, largest first
+            want = [
+                m
+                for m in itertools.combinations_with_replacement(range(k, -1, -1), blowups)
+                if sum(x * x for x in m) == k * k + 1 and sum(m[:3]) <= k
+            ]
+            assert [c.m for c in _search_one_k(blowups, k)] == want, (blowups, k)
+
+
+def test_search_depth_does_not_grow_with_the_blowups():
+    # the recursive walk went one call deeper per slot, zeros included, and
+    # died with RecursionError from about 1,000 blowups on
+    pad = (0,) * (5000 - 900)
+    want = [SphereCandidate(c.k, c.m + pad) for c in dichotomy_search(900, 4)]
+    assert len(want) == 3
+    assert dichotomy_search(5000, 4) == want
 
 
 def test_search_edge_cases():

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruled_lattice import weyl
+from ruled_lattice import lattice, weyl
 from ruled_lattice.lattice import (
     HomologyClass,
+    Kind,
     LatticeAutomorphism,
     LatticeError,
     ModelMismatchError,
     exceptional_class,
+    fiber_class,
+    line_class,
     pairing,
     positive_cone_contains,
     rational_model,
@@ -62,6 +65,26 @@ def test_generator_names_and_classes():
     assert g.class_of("s2").coeffs == (0, 0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [rational_model(l) for l in range(3, 13)] + [ruled_model(l) for l in range(2, 13)],
+    ids=str,
+)
+def test_generator_classes_follow_their_formulas(model):
+    l = model.blowups
+    e = [None] + [exceptional_class(model, i) for i in range(1, l + 1)]
+    if model.kind is Kind.RATIONAL:
+        s0 = line_class(model) - e[1] - e[2] - e[3]
+    else:
+        s0 = fiber_class(model) - e[1] - e[2]
+    want = (s0, *(e[i] - e[i + 1] for i in range(1, l)), e[l])
+    g = generator_set(model)
+    assert g.names == tuple(f"s{i}" for i in range(l + 1))
+    assert g.classes == want
+    # l walls of square -2, then the twist along E_l
+    assert [c.square for c in g.classes] == [-2] * l + [-1]
+
+
 def test_generators_are_involutions():
     for model in (R3, ruled_model(3, 2)):
         g = generator_set(model)
@@ -74,9 +97,9 @@ def test_generators_are_involutions():
 
 
 def test_generator_set_needs_enough_blowups():
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="^the rational generator set needs at least 3 blowups$"):
         generator_set(rational_model(2))
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="^the ruled generator set needs at least 2 blowups$"):
         generator_set(ruled_model(1, 1))
 
 
@@ -804,6 +827,7 @@ def test_lagrangian_system_pairs_members_through_their_root_actions(monkeypatch)
         rational_periods(5, 3, (1, 1, 1, 1, 1)),
         rational_periods(6, 3, (1,) * 6),
         ruled_periods(4, 2, 7, (1, 1, 1, 1)),
+        ruled_periods(40, 2, 21, (1,) * 40),
         rational_periods(40, 120, (1,) * 40),
     ]
     for p in cases:
@@ -813,6 +837,19 @@ def test_lagrangian_system_pairs_members_through_their_root_actions(monkeypatch)
             for nb, cb in members[i + 1 :]:
                 assert (sys.system.order(na, nb) == 3) == (pairing(ca, cb) != 0), (na, nb)
     assert sys.label == "A39"
+
+
+def test_lagrangian_system_pairs_members_on_their_root_slots(monkeypatch):
+    # the members come from the sparse wall-root table: no rank-length
+    # difference of classes and no dense root action
+    def unused(*args):
+        raise AssertionError("lagrangian_system built a dense wall class")
+
+    monkeypatch.setattr(HomologyClass, "__sub__", unused)
+    monkeypatch.setattr(lattice, "root_action", unused)
+    monkeypatch.setattr(weyl, "root_action", unused)
+    assert lagrangian_system(rational_periods(40, 120, (1,) * 40)).label == "A39"
+    assert lagrangian_system(ruled_periods(40, 2, 21, (1,) * 40)).label == "D40"
 
 
 def test_lagrangian_system_json_shape():

@@ -20,15 +20,7 @@ from typing import Union
 from . import coxeter
 from .base import SMALL_CASE_LABELS, Record
 from .coxeter import CoxeterSystem
-from .lattice import (
-    HomologyClass,
-    Kind,
-    LatticeAutomorphism,
-    LatticeError,
-    ManifoldModel,
-    exceptional_class,
-    rational_model,
-)
+from .lattice import Kind, LatticeAutomorphism, LatticeError, ManifoldModel, rational_model
 from .weyl import GeneratorSet, GroupWord, expected_coxeter_system
 
 
@@ -342,14 +334,9 @@ def o12_model() -> ManifoldModel:
 def _o12_gens() -> GeneratorSet:
     """The three generators of the cone-preserving automorphism group of
     the rank-3 lattice: reflection along E1 - E2, twist along E2, twist
-    along L - E1 - E2."""
-    model = o12_model()
-    classes = (
-        HomologyClass(model, (0, 1, -1)),
-        exceptional_class(model, 2),
-        HomologyClass(model, (1, -1, -1)),
-    )
-    return GeneratorSet(model, O12_GENERATOR_NAMES, classes)
+    along L - E1 - E2, written as their roots over the slots (L, E1, E2)."""
+    roots = (((1, 1), (2, -1)), ((2, 1),), ((0, 1), (1, -1), (2, -1)))
+    return GeneratorSet(o12_model(), O12_GENERATOR_NAMES, roots)
 
 
 def o12_generators() -> dict[str, LatticeAutomorphism]:

@@ -294,50 +294,55 @@ class LatticeAutomorphism(Record):
         return self._product((1,) * model.head + (0,) * model.blowups)[0] > 0
 
 
+Sparse = tuple[tuple[int, int], ...]  # (slot, coefficient) pairs
+RootAction = tuple[Sparse, Sparse]
+
+
 def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
     """The reflection A -> A - 2 (A.s)/(s.s) s as an integer matrix.
 
     Only classes with s^2 = -2 (wall reflections, A -> A + (A.s) s) and
     s^2 = -1 (exceptional twists, A -> A + 2 (A.s) s) give integer matrices;
-    anything else is rejected.
+    anything else is rejected.  The matrix is read off ``root_action(s)``.
     """
-    coef = _reflection_coefficient(s)
-    model = s.model
-    n = model.rank
-    # (G s)_j, i.e. pairing of the j-th basis vector with s
-    gs = [sum(g * c for g, c in zip(row, s.coeffs)) for row in model.gram]
-    rows = tuple(
-        tuple(int(i == j) + coef * s.coeffs[i] * gs[j] for j in range(n))
-        for i in range(n)
-    )
-    return LatticeAutomorphism(model, rows)
+    return _reflection_matrix(s.model, root_action(s))
 
 
-def _reflection_coefficient(s: HomologyClass) -> int:
-    sq = s.square
-    if sq == -2:
-        return 1
-    if sq == -1:
-        return 2
-    raise UnsupportedReflectionError(
-        f"reflection requires square -1 or -2, got {sq} for {s}"
-    )
-
-
-Sparse = tuple[tuple[int, int], ...]  # (slot, coefficient) pairs
-RootAction = tuple[Sparse, Sparse]
+def _reflection_matrix(model: ManifoldModel, action: RootAction) -> LatticeAutomorphism:
+    # the identity plus the outer product of the shift and dual halves
+    dual, shift = action
+    rows = [[int(i == j) for j in range(model.rank)] for i in range(model.rank)]
+    for i, c in shift:
+        for j, g in dual:
+            rows[i][j] += c * g
+    return LatticeAutomorphism(model, tuple(map(tuple, rows)))
 
 
 def root_action(s: HomologyClass) -> RootAction:
     """The reflection along ``s`` as ``x -> x + (x.s) coef*s``, kept sparse.
 
     Returns the pairs (j, (G s)_j) and (i, coef*s_i) over the nonzero
-    entries, so ``reflect_coeffs`` costs O(support of s), not O(rank^2);
-    ``coef`` and the accepted squares are those of ``reflection_along``.
+    entries, so ``reflect_coeffs`` costs O(support of s), not O(rank^2).
     """
-    coef = _reflection_coefficient(s)
-    support = [(i, c) for i, c in enumerate(s.coeffs) if c]
-    return _dual(s.model.head, support), tuple((i, coef * c) for i, c in support)
+    return _root_action(s.model, [(i, c) for i, c in enumerate(s.coeffs) if c])
+
+
+def _root_action(model: ManifoldModel, support) -> RootAction:
+    """``root_action`` of the class with the given (slot, coefficient) pairs.
+
+    The square s.s is the sum of s_j (G s)_j over the dual pairs, so the
+    whole action costs O(support).  Square -2 gives coef 1, square -1 coef
+    2; any other square is refused.
+    """
+    dual = _dual(model.head, support)
+    root = dict(support)
+    sq = sum(root.get(j, 0) * g for j, g in dual)
+    coef = {-2: 1, -1: 2}.get(sq)
+    if coef is None:
+        raise UnsupportedReflectionError(
+            f"reflection requires square -1 or -2, got {sq} for {_sparse_class(model, support)}"
+        )
+    return dual, tuple((i, coef * c) for i, c in support)
 
 
 def _dual(head: int, support) -> Sparse:

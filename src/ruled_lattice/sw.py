@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from .base import Record, SWError
 
@@ -169,15 +169,18 @@ def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
     return (k - 2 * t,) + (t,) * (blowups - 1), value(t)
 
 
-def _search_one_k(blowups: int, k: int) -> list[SphereCandidate]:
+SEARCH_CANDIDATE_CAP = 100_000
+
+
+def _search_one_k(blowups: int, k: int) -> Iterator[SphereCandidate]:
     """All sorted m >= 0 with sum m_i^2 = k^2 + 1 and m_1 + m_2 + m_3 <= k.
 
     A depth-first walk, largest value first, on an explicit stack of one
     [value tried, square sum owed, triple room left] per slot.  Once the
     sum is met the tail is all zero, so the stack holds at most k^2 + 2
-    slots whatever ``blowups`` is.
+    slots whatever ``blowups`` is.  Candidates are yielded as they are
+    found, so a caller can stop the walk early.
     """
-    found: list[SphereCandidate] = []
     stack = [[k, k * k + 1, k]]
     while stack:
         idx = len(stack) - 1
@@ -192,22 +195,30 @@ def _search_one_k(blowups: int, k: int) -> list[SphereCandidate]:
                 stack[-1][0] -= 1
         elif rest == 0:
             m = (*(s[0] for s in stack), *(0,) * (blowups - idx - 1))
-            found.append(SphereCandidate(k, m))
+            yield SphereCandidate(k, m)
             slot[0] -= 1
         else:
             room = room - v if idx < 3 else room
             top = min(v, isqrt(rest), room) if idx < 2 else min(v, isqrt(rest))
             stack.append([top, rest, room])
-    return found
 
 
 def dichotomy_search(blowups: int, k_max: int) -> list[SphereCandidate]:
     """Exhaustive search for square -1 classes no wall crossing reduces.
 
     Scans 2 <= k <= k_max.  Empty for up to 9 blowups; from 10 on the list
-    is populated, starting with (3; 1,..,1).
+    is populated, starting with (3; 1,..,1).  The walk stops with SWError
+    once it passes ``SEARCH_CANDIDATE_CAP`` candidates (at 12 blowups,
+    between k = 80 and k = 89).
     """
     if blowups < 3:
         raise SWError("dichotomy_search needs at least 3 blowups")
-    found = [c for k in range(2, k_max + 1) for c in _search_one_k(blowups, k)]
+    found: list[SphereCandidate] = []
+    for k in range(2, k_max + 1):
+        for c in _search_one_k(blowups, k):
+            found.append(c)
+            if len(found) > SEARCH_CANDIDATE_CAP:
+                raise SWError(
+                    f"search found more than {SEARCH_CANDIDATE_CAP} candidates by k = {k}"
+                )
     return sorted(found, key=lambda c: (c.k, c.m))

@@ -44,12 +44,12 @@ from .lattice import (
     _check_length,
     _dual,
     _pair_coeffs,
+    _reflection_matrix,
+    _root_action,
     _sparse_class,
     exceptional_class,
     positive_cone_contains,
     reflect_coeffs,
-    reflection_along,
-    root_action,
 )
 
 if TYPE_CHECKING:
@@ -75,31 +75,39 @@ class NotReducedError(LatticeError):
 
 
 class GeneratorSet(Record):
-    """The named reflection generators of one model."""
+    """The named reflection generators of one model, each stored as its root.
+
+    ``roots[i]`` is generator i's (slot, coefficient) pairs; its class,
+    sparse action and matrix are all read off those pairs.
+    """
 
     model: ManifoldModel
     names: tuple[str, ...]
-    classes: tuple[HomologyClass, ...]
+    roots: tuple[Sparse, ...]
+
+    @property
+    def classes(self) -> tuple[HomologyClass, ...]:
+        """The rank-length generator classes, built afresh from the roots."""
+        return tuple(_sparse_class(self.model, r) for r in self.roots)
 
     @cached_property
     def automorphisms(self) -> dict[str, LatticeAutomorphism]:
         return {
-            name: reflection_along(c) for name, c in zip(self.names, self.classes)
+            name: _reflection_matrix(self.model, self.root_action(name))
+            for name in self.names
         }
 
     @cached_property
     def _root_actions(self) -> dict[str, RootAction]:
-        return {name: root_action(c) for name, c in zip(self.names, self.classes)}
-
-    @cached_property
-    def _classes(self) -> dict[str, HomologyClass]:
-        return dict(zip(self.names, self.classes))
+        return {
+            name: _root_action(self.model, r) for name, r in zip(self.names, self.roots)
+        }
 
     def automorphism(self, name: str) -> LatticeAutomorphism:
         return _generator(self.automorphisms, name)
 
     def class_of(self, name: str) -> HomologyClass:
-        return _generator(self._classes, name)
+        return _sparse_class(self.model, _generator(dict(zip(self.names, self.roots)), name))
 
     def root_action(self, name: str) -> RootAction:
         """The sparse action of one generator, see ``lattice.root_action``."""
@@ -120,8 +128,8 @@ def _require_generators(model: ManifoldModel) -> None:
         raise LatticeError(f"the {model.kind.value} generator set needs at least {need} blowups")
 
 
-def _wall_roots(model: ManifoldModel) -> tuple[Sparse, ...]:
-    """The roots of s0..s_l as (slot, coefficient) pairs, at most 4 each.
+def generator_set(model: ManifoldModel) -> GeneratorSet:
+    """The generators s0..s_l as a table of roots, at most 4 pairs each.
 
     Slot h + i - 1 holds E_i.  s0 is +1 at the head slot h - 1 (L, resp.
     F) and -1 at the exceptional slots h..3, s_i is E_i - E_{i+1}, and the
@@ -131,13 +139,8 @@ def _wall_roots(model: ManifoldModel) -> tuple[Sparse, ...]:
     h, l = model.head, model.blowups
     s0 = ((h - 1, 1), *((j, -1) for j in range(h, 4)))
     swaps = (((j, 1), (j + 1, -1)) for j in range(h, h + l - 1))
-    return (s0, *swaps, ((h + l - 1, 1),))
-
-
-def generator_set(model: ManifoldModel) -> GeneratorSet:
-    roots = _wall_roots(model)
-    names = tuple(f"s{i}" for i in range(len(roots)))
-    return GeneratorSet(model, names, tuple(_sparse_class(model, r) for r in roots))
+    roots = (s0, *swaps, ((h + l - 1, 1),))
+    return GeneratorSet(model, tuple(f"s{i}" for i in range(len(roots))), roots)
 
 
 class GroupWord(Record):
@@ -585,7 +588,7 @@ class PeriodReduction(Record):
 def _s0_period(c: Sequence[int], h: int) -> int:
     """The period over the extra wall s0, from the dual coefficients ``c``.
 
-    s0 is the first root of ``_wall_roots``: +1 at the head slot h - 1
+    s0 is the first root of ``generator_set``: +1 at the head slot h - 1
     (L, resp. F) and -1 at the exceptional slots h..3.  The form pairs slot
     h - 1 with slot 0 and negates each E_i, so the period is c[0] + c[h] +
     ... + c[3]; crossing the wall adds the period times s0 to ``c``.
@@ -869,7 +872,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
     # the zero walls' roots, from the table; the twist s_l, the last wall,
     # is never a member
-    roots = _wall_roots(p.model)
+    roots = generator_set(p.model).roots
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
     names = [f"s{i}" for i in zero]
     members = [dict(roots[i]) for i in zero]

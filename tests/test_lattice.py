@@ -257,6 +257,20 @@ def _random_mirrors(model, rng, count):
         yield m
 
 
+def _gram_row_reflection(s):
+    """Reference matrix of the reflection along s, from the dense Gram rows:
+    entry (i, j) is delta_ij + coef * s_i * (G s)_j, with coef 1 for square
+    -2 and 2 for square -1.  The library reads its matrix off root_action
+    instead, so this is a second route to both."""
+    coef = {-2: 1, -1: 2}[s.square]
+    n = s.model.rank
+    gs = [sum(g * c for g, c in zip(row, s.coeffs)) for row in s.model.gram]
+    return tuple(
+        tuple(int(i == j) + coef * s.coeffs[i] * gs[j] for j in range(n))
+        for i in range(n)
+    )
+
+
 def test_root_action_matches_the_reflection_matrix():
     rng = random.Random(10)
     models = [rational_model(l) for l in range(3, 12)]
@@ -264,13 +278,14 @@ def test_root_action_matches_the_reflection_matrix():
     squares = set()
     for model in models:
         for m in _random_mirrors(model, rng, 12):
-            squares.add(m.square)
+            squares.add((model.kind, m.square))
             action = root_action(m)
-            matrix = reflection_along(m)
+            want = LatticeAutomorphism(model, _gram_row_reflection(m))
+            assert reflection_along(m) == want
             for _ in range(4):
                 t = _cls(model, *(rng.randint(-9, 9) for _ in range(model.rank)))
-                assert reflect_coeffs(action, t.coeffs) == matrix.apply(t).coeffs
-    assert squares == {-1, -2}
+                assert reflect_coeffs(action, t.coeffs) == want.apply(t).coeffs
+    assert squares == {(k, sq) for k in Kind for sq in (-1, -2)}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruled_lattice import sw
 from ruled_lattice.sw import (
     OutOfRegimeError,
     OutOfScopeError,
@@ -261,6 +262,15 @@ def test_search_matches_a_brute_force_enumeration():
                 if sum(x * x for x in m) == k * k + 1 and sum(m[:3]) <= k
             ]
             assert [c.m for c in _search_one_k(blowups, k)] == want, (blowups, k)
+
+
+def test_search_refuses_past_the_candidate_cap(monkeypatch):
+    # dichotomy_search(12, 80) finds 51,656 candidates; at 12 blowups and
+    # k_max 160 the search ran past 100 s, so a cap stops it inside the walk
+    monkeypatch.setattr(sw, "SEARCH_CANDIDATE_CAP", 1000)
+    with pytest.raises(SWError, match="^search found more than 1000 candidates by k = "):
+        dichotomy_search(12, 80)
+    assert len(dichotomy_search(12, 40)) == 901  # just under the cap
 
 
 def test_search_depth_does_not_grow_with_the_blowups():

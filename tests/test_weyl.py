@@ -85,6 +85,22 @@ def test_generator_classes_follow_their_formulas(model):
     assert [c.square for c in g.classes] == [-2] * l + [-1]
 
 
+def test_generator_set_reads_its_root_actions_off_the_roots(monkeypatch):
+    # the generator set used to build every rank-length class and square it
+    # through the dense pairing, so the first root_action cost O(l^2)
+    def unused(*args):
+        raise AssertionError("generator_set built a rank-length class")
+
+    monkeypatch.setattr(lattice, "root_action", unused)
+    monkeypatch.setattr(lattice, "_sparse_class", unused)
+    monkeypatch.setattr(weyl, "_sparse_class", unused)
+    monkeypatch.setattr(HomologyClass, "_trusted", unused)
+    for model, h in ((rational_model(2000), 1), (ruled_model(2000), 2)):
+        g = generator_set(model)
+        assert g.root_action("s1") == (((h, -1), (h + 1, 1)), ((h, 1), (h + 1, -1)))
+        assert g.root_action("s2000") == (((h + 1999, -1),), ((h + 1999, 2),))
+
+
 def test_generators_are_involutions():
     for model in (R3, ruled_model(3, 2)):
         g = generator_set(model)
@@ -847,7 +863,7 @@ def test_lagrangian_system_pairs_members_on_their_root_slots(monkeypatch):
 
     monkeypatch.setattr(HomologyClass, "__sub__", unused)
     monkeypatch.setattr(lattice, "root_action", unused)
-    monkeypatch.setattr(weyl, "root_action", unused)
+    monkeypatch.setattr(weyl, "_root_action", unused)
     assert lagrangian_system(rational_periods(40, 120, (1,) * 40)).label == "A39"
     assert lagrangian_system(ruled_periods(40, 2, 21, (1,) * 40)).label == "D40"
 

@@ -238,7 +238,7 @@ def _run_manifold_info(inp: dict) -> _Outcome:
         result["generators"] = {n: str(gens.class_of(n)) for n in gens.names}
         lines.append("generators:")
         lines.extend(
-            f"  {n}: reflection along {gens.class_of(n)}" for n in gens.names
+            f"  {n}: reflection along {c}" for n, c in result["generators"].items()
         )
     return _Outcome(result, tuple(lines))
 

@@ -98,16 +98,18 @@ class GeneratorSet(Record):
         }
 
     @cached_property
+    def _roots(self) -> dict[str, Sparse]:
+        return dict(zip(self.names, self.roots))
+
+    @cached_property
     def _root_actions(self) -> dict[str, RootAction]:
-        return {
-            name: _root_action(self.model, r) for name, r in zip(self.names, self.roots)
-        }
+        return {name: _root_action(self.model, r) for name, r in self._roots.items()}
 
     def automorphism(self, name: str) -> LatticeAutomorphism:
         return _generator(self.automorphisms, name)
 
     def class_of(self, name: str) -> HomologyClass:
-        return _sparse_class(self.model, _generator(dict(zip(self.names, self.roots)), name))
+        return _sparse_class(self.model, _generator(self._roots, name))
 
     def root_action(self, name: str) -> RootAction:
         """The sparse action of one generator, see ``lattice.root_action``."""
@@ -480,17 +482,14 @@ class PeriodVector(Record):
         return self._fractions((_pair_coeffs(self.model, self.coeffs, c.coeffs),))[0]
 
     def wall_periods(self) -> tuple[int, ...]:
-        """The periods over the generator classes s0..s_l, times ``denominator``.
+        """The periods over the generator classes s0..s_l, times ``denominator``:
+        the pairing of ``coeffs`` with each root of ``generator_set``.
 
         None is negative exactly when the vector satisfies the period
         conditions, and the zeros name the walls that contain it.
         """
-        _require_generators(self.model)
-        c = self.coeffs
-        h = self.model.head
-        # c[h + i - 1] = -mu_i
-        s0 = _s0_period(c, h)
-        return (s0, *(c[j + 1] - c[j] for j in range(h, len(c) - 1)), -c[-1])
+        c, roots = self.coeffs, generator_set(self.model).roots
+        return tuple(sum(c[j] * g for j, g in _dual(self.model.head, r)) for r in roots)
 
     def satisfies_period_conditions(self) -> bool:
         return min(self.wall_periods()) >= 0
@@ -585,15 +584,9 @@ class PeriodReduction(Record):
         }
 
 
-def _s0_period(c: Sequence[int], h: int) -> int:
-    """The period over the extra wall s0, from the dual coefficients ``c``.
-
-    s0 is the first root of ``generator_set``: +1 at the head slot h - 1
-    (L, resp. F) and -1 at the exceptional slots h..3.  The form pairs slot
-    h - 1 with slot 0 and negates each E_i, so the period is c[0] + c[h] +
-    ... + c[3]; crossing the wall adds the period times s0 to ``c``.
-    """
-    return c[0] + sum(c[h:4])
+def _require_cone(p: PeriodVector) -> None:
+    if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
+        raise OutsideConeError(f"{p} is not in the open positive cone")
 
 
 def reduce_periods(p: PeriodVector) -> PeriodReduction:
@@ -603,18 +596,19 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     ``c``, whose common denominator no letter changes: the swaps s1..s_{l-1}
     bubble-sort the exceptional slots (c[j] > c[j+1] means mu_i < mu_{i+1}),
     the twist s_l negates a positive last slot, and s0 adds its negative
-    period times s0 to ``c``.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2, see
-    ``_s0_period``) is the only step that depends on the model.  The head
-    period that s0 strictly decreases (line resp. section) is a positive
-    integer throughout, which bounds the number of wall crossings.
+    period times s0 to ``c``.  These closed forms are the walls' one copy
+    outside ``generator_set``; the closing ``wall_periods()`` check holds
+    them to the table's roots.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is
+    the only step that depends on the model.  The head period that s0
+    strictly decreases (line resp. section) is a positive integer
+    throughout, which bounds the number of wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
     vector are reported in ``boundary_flags``.  A word longer than
     ``WORD_LETTER_CAP`` letters raises LatticeError.
     """
     _require_generators(p.model)
-    if not positive_cone_contains(HomologyClass._trusted(p.model, p.coeffs)):
-        raise OutsideConeError(f"{p} is not in the open positive cone")
+    _require_cone(p)
     h = p.model.head
     c = list(p.coeffs)
     last = len(c) - 1
@@ -635,10 +629,12 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
             c[last] = -c[last]
             letters.append(names[-1])
             continue
-        gap = _s0_period(c, h)
+        # s0's root: +1 at slot h - 1 (L, resp. F), -1 at slots h..3; the form
+        # pairs slot h - 1 with slot 0 and negates each E_i, so its period is
+        gap = c[0] + sum(c[h:4])
         if gap >= 0:
             break
-        c[h - 1] += gap  # c += gap * s0, the shape ``_s0_period`` describes
+        c[h - 1] += gap
         for j in range(h, 4):
             c[j] -= gap
         letters.append("s0")
@@ -755,7 +751,8 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
             apply(_fiber_step_word(l, increment=coeffs[1] < 0))
         return land(1, "ruled")
 
-    # rational model
+    # rational model; crossing s0 adds x.s0, the sum over its dual half, to k
+    s0_dual = gens.root_action("s0")[0]
     while True:
         k = coeffs[0]
         if k == 0:
@@ -774,8 +771,8 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
                 if sign * coeffs[i] > sign * coeffs[i + 1]:
                     apply([f"s{i}"])
                     swapped = True
-        top3 = -(coeffs[1] + coeffs[2] + coeffs[3])
-        if sign * (top3 - k) <= 0:
+        gap = sum(coeffs[j] * g for j, g in s0_dual)
+        if sign * gap >= 0:
             return ClassReduction(
                 False,
                 GroupWord(tuple(letters)),
@@ -863,13 +860,15 @@ def _sorted_component_labels(labels: list[str]) -> tuple[str, ...]:
 def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     """Wall classes with zero period, assembled into a Coxeter system.
 
-    Input must satisfy the period conditions (reduce first).  Members keep
-    their generator names; the twist wall E_l is excluded because its class
-    has square -1, not -2, so it never bounds a Lagrangian sphere system.
+    Input must satisfy the period conditions (reduce first) and lie in the
+    open positive cone, checked in that order.  Members keep their generator
+    names; the twist wall E_l is excluded because its class has square -1,
+    not -2, so it never bounds a Lagrangian sphere system.
     """
     walls = p.wall_periods()
     if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
+    _require_cone(p)
     # the zero walls' roots, from the table; the twist s_l, the last wall,
     # is never a member
     roots = generator_set(p.model).roots

@@ -628,6 +628,54 @@ def test_lagrangian_requires_reduced(capsys):
     assert "reduce-periods" in err
 
 
+@pytest.mark.parametrize(
+    "model,periods",
+    [
+        ("rational", "6,2,2,2,2,2,2,2,2,2"),
+        ("rational", "6,2,2,2,2,2,2,2,2,2,1"),
+        ("rational", "0,0,0,0"),
+        ("ruled", "0,0,0,0"),
+    ],
+)
+def test_lagrangian_refuses_vectors_outside_the_cone(capsys, model, periods):
+    # each satisfies the period conditions, so only the cone refuses it: the
+    # zero walls of the first two would form the affine E9, and the zero
+    # vectors lie on every wall
+    ell = len(periods.split(",")) - (1 if model == "rational" else 2)
+    code, out, err = run(
+        capsys, "lagrangian-system", f"--model={model}", f"--ell={ell}",
+        f"--periods={periods}",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: (") and err.endswith(
+        ") is not in the open positive cone\n"
+    )
+
+
+def test_manifold_info_builds_and_renders_each_generator_class_once(capsys, monkeypatch):
+    from ruled_lattice import lattice, weyl
+
+    counts = {"built": 0, "rendered": 0}
+    build, render = weyl._sparse_class, lattice.HomologyClass.__str__
+
+    def counting_build(*args):
+        counts["built"] += 1
+        return build(*args)
+
+    def counting_render(c):
+        counts["rendered"] += 1
+        return render(c)
+
+    monkeypatch.setattr(weyl, "_sparse_class", counting_build)
+    monkeypatch.setattr(lattice.HomologyClass, "__str__", counting_render)
+    for extra in ((), ("--json",)):
+        counts.update(built=0, rendered=0)
+        code, out, _ = run(capsys, "manifold-info", "--model=rational", "--ell=40", *extra)
+        assert code == EXIT_OK
+        assert "L - E1 - E2 - E3" in out and "E39 - E40" in out
+        assert counts == {"built": 41, "rendered": 41}
+
+
 def test_decompose_o12(capsys):
     code, out, _ = run(capsys, "decompose-o12", "--matrix", "9,4,8;-4,-1,-4;8,4,7")
     assert code == EXIT_OK

@@ -639,7 +639,8 @@ def cone_periods(draw, kinds=("rational", "ruled")):
 @settings(max_examples=150, deadline=None)
 def test_reduction_properties(p):
     g = generator_set(p.model)
-    # the wall periods, read off the coefficients, against the pairing
+    # the wall periods, paired on the roots' dual halves, against the dense
+    # pairing with each rank-length generator class
     assert [Fraction(w, p.denominator) for w in p.wall_periods()] == [
         p.period_of(c) for c in g.classes
     ]
@@ -652,6 +653,68 @@ def test_reduction_properties(p):
     assert again.word.letters == ()
     data = json.loads(json.dumps(red.to_json_dict()))
     assert PeriodVector.from_json_dict(data["reduced"]) == red.reduced
+
+
+def _reference_descent(p):
+    """``reduce_periods``' walk, with every wall read from the table's roots.
+
+    The scan order is the kernel's: bubble passes over s1..s_{l-1}, then the
+    twist s_l (and a fresh pass), then s0; a wall is crossed, by
+    ``reflect_coeffs`` over its root action, when its period is negative.
+    """
+    g = generator_set(p.model)
+    actions = [g.root_action(n) for n in g.names]
+    l = p.model.blowups
+    c, letters = p.coeffs, []
+
+    def period(i):
+        return sum(c[j] * w for j, w in actions[i][0])
+
+    def cross(i):
+        nonlocal c
+        c = reflect_coeffs(actions[i], c)
+        letters.append(g.names[i])
+
+    while True:
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(1, l):
+                if period(i) < 0:
+                    cross(i)
+                    swapped = True
+        if period(l) < 0:
+            cross(l)
+            continue
+        if period(0) >= 0:
+            break
+        cross(0)
+    flags = tuple(n for i, n in enumerate(g.names) if period(i) == 0)
+    return tuple(letters), PeriodVector(p.model, c, p.denominator), flags
+
+
+@given(cone_periods())
+@settings(max_examples=150, deadline=None)
+def test_reduction_kernel_matches_the_reference_descent(p):
+    # the kernel's closed forms (swap, negate the last slot, shift by s0)
+    # against the same walk over the generator table's root actions
+    red = reduce_periods(p)
+    assert (red.word.letters, red.reduced, red.boundary_flags) == _reference_descent(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        rational_periods(5, 6, (3, 3, 3, 1, 1)),
+        rational_periods(9, 20, (1, 2, 3, 4, 5, 6, 7, 8, 9)),
+        ruled_periods(3, 2, 9, (Fraction(3, 2), 1, 1)),
+        ruled_periods(4, Fraction(1, 3), 9, (Fraction(2, 3), -1, 0, 1)),
+    ],
+)
+def test_reduction_kernel_matches_the_reference_descent_on_fixtures(p):
+    red = reduce_periods(p)
+    assert "s0" in red.word.letters  # each fixture crosses s0 and other walls
+    assert (red.word.letters, red.reduced, red.boundary_flags) == _reference_descent(p)
 
 
 # Rational model only: the ruled cone the code accepts is not preserved by
@@ -829,6 +892,24 @@ def test_lagrangian_system_requires_reduced_input():
         lagrangian_system(rational_periods(3, 3, (1, 1, 2)))
     with pytest.raises(NotReducedError):
         lagrangian_system(rational_periods(3, 1, (1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # squares 0 and -1: their zero walls s0..s8 would form the affine E9
+        rational_periods(9, 6, (2,) * 9),
+        rational_periods(10, 6, (2,) * 9 + (1,)),
+        rational_periods(3, 0, (0, 0, 0)),  # the zero vector lies on every wall
+        ruled_periods(2, 0, 0, (0, 0)),
+    ],
+)
+def test_lagrangian_system_refuses_vectors_outside_the_cone(p):
+    assert p.satisfies_period_conditions()
+    with pytest.raises(OutsideConeError, match="is not in the open positive cone"):
+        lagrangian_system(p)
+    with pytest.raises(OutsideConeError, match="is not in the open positive cone"):
+        reduce_periods(p)
 
 
 def test_lagrangian_system_pairs_members_through_their_root_actions(monkeypatch):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Union
 
-from . import coxeter
+from . import coxeter, weyl
 from .base import SMALL_CASE_LABELS, Record
 from .coxeter import CoxeterSystem
 from .lattice import Kind, LatticeAutomorphism, LatticeError, ManifoldModel, rational_model
@@ -362,7 +362,9 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
     coefficient identity forces their sum to exceed l whenever l >= 2, so
     the twist along L - E1 - E2 strictly decreases l.  At l = 1 the
     automorphism fixes L and a table lookup over the eight signed
-    permutations finishes the word.
+    permutations finishes the word.  A descent longer than
+    ``weyl.WORD_LETTER_CAP`` letters raises CatalogError: its length grows
+    with the entries, not with their digits.
     """
     model = o12_model()
     if m.model != model:
@@ -384,6 +386,8 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
             descent.append(name)
 
     while True:
+        if len(descent) > weyl.WORD_LETTER_CAP:
+            raise CatalogError(f"descent reached more than {weyl.WORD_LETTER_CAP} letters")
         l, c1, c2 = (row[0] for row in current.matrix)
         if l == 1:
             break

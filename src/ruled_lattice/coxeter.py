@@ -8,19 +8,20 @@ places one basis vector per generator with <e_j, e_j> = -1 and
 <e_i, e_j> = cos(pi/m_ij), all of which lies in Q(sqrt2), so every
 definiteness computation below is exact.
 
-Finite type is decided by Sylvester's criterion on the negated Gram matrix,
-eliminated over the graph.  A crystallographic structure is a split of the
-generators into short and long ones; rescaling the long basis vectors by
-sqrt2 must turn every generator matrix into an integer matrix, and the
-combinatorial shadow of that condition (which edge labels may join which
-parts) is checked separately so the two routes can be compared.
+Finite type is decided twice, by classifying the graph and by Sylvester's
+criterion on the negated Gram matrix, eliminated over the graph.  A
+crystallographic structure is a split of the generators into short and long
+ones; rescaling the long basis vectors by sqrt2 must turn every generator
+matrix into an integer matrix, and the combinatorial shadow of that
+condition (which edge labels may join which parts) is checked separately so
+the two routes can be compared.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .base import INF, CoxeterError, Record
+from .base import INF, CoxeterError, InternalConsistencyError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
 
 
@@ -345,13 +346,69 @@ def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
     return det, definite
 
 
-def is_finite_type(system: CoxeterSystem) -> bool:
-    """Sylvester's criterion on the negated Gram matrix of the representation.
+def _component_type(nodes: list[int], adj: list[list[tuple[int, object]]]) -> Optional[str]:
+    """The type of one connected component, None when it is infinite."""
+    n = len(nodes)
+    orders = [m for v in nodes for _, m in adj[v]]  # each edge twice
+    if len(orders) != 2 * (n - 1) or INF in orders:  # a cycle or an oo edge
+        return None
+    forks = [v for v in nodes if len(adj[v]) > 2]
+    fours = [(v, w) for v in nodes for w, m in adj[v] if m == 4 and v < w]
+    if not forks and len(fours) <= 1:
+        if not fours:
+            return f"A{n}"
+        if min(len(adj[v]) for v in fours[0]) == 1:
+            return f"B{n}"
+        return "F4" if n == 4 else None
+    if len(forks) > 1 or fours or len(adj[forks[0]]) > 3:
+        return None
+    arms = []
+    for start, _ in adj[forks[0]]:  # each arm is a path from the fork to a leaf
+        length, prev, cur = 1, forks[0], start
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(w for w, _ in adj[cur] if w != prev)
+            length += 1
+        arms.append(length)
+    a, b, c = sorted(arms)
+    if (a, b) == (1, 1):
+        return f"D{n}"
+    return f"E{n}" if (a, b) == (1, 2) and c <= 4 else None
 
-    The group is finite exactly when the form <.,.> is negative definite,
-    i.e. when every leading principal minor of -Gram is positive.
+
+def component_types(system: CoxeterSystem) -> Optional[tuple[str, ...]]:
+    """The type of each connected component, largest rank first, or None
+    when the group is infinite.
+
+    Pair orders lie in {2, 3, 4, oo}, so a connected graph is finite exactly
+    when it is the path A_n, the path B_n with its one 4 on an end edge, the
+    path F4 with its 4 in the middle, or a tree with one fork of degree 3,
+    no 4 and arms (1, 1, k) (D_{k+3}) or (1, 2, 2..4) (E6..E8) (Humphreys,
+    Reflection Groups and Coxeter Groups, 2.4-2.7).  The pivot signs of
+    ``_eliminate_gram`` must agree: InternalConsistencyError if not.
     """
-    return _eliminate_gram(system)[1]
+    adj: list[list[tuple[int, object]]] = [[] for _ in system.names]
+    for (i, j), m in system.pairs.items():
+        adj[i].append((j, m))
+        adj[j].append((i, m))
+    unseen = set(range(len(adj)))
+    types = []  # in any order: they are sorted below
+    while unseen:
+        nodes = [unseen.pop()]
+        for v in nodes:  # a list iterator also yields what is appended meanwhile
+            for w, _ in adj[v]:
+                if w in unseen:
+                    unseen.remove(w)
+                    nodes.append(w)
+        types.append(_component_type(nodes, adj))
+    finite = None not in types
+    if finite != _eliminate_gram(system)[1]:
+        raise InternalConsistencyError("graph classification and Gram pivot signs disagree")
+    return tuple(sorted(types, key=lambda s: (-int(s[1:]), s[0]))) if finite else None
+
+
+def is_finite_type(system: CoxeterSystem) -> bool:
+    """Whether the group is finite, by ``component_types`` (two routes)."""
+    return component_types(system) is not None
 
 
 def gram_determinant(system: CoxeterSystem) -> QSqrt2:

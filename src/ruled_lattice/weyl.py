@@ -488,7 +488,11 @@ class PeriodVector(Record):
         None is negative exactly when the vector satisfies the period
         conditions, and the zeros name the walls that contain it.
         """
-        c, roots = self.coeffs, generator_set(self.model).roots
+        return self._pair_roots(generator_set(self.model).roots)
+
+    def _pair_roots(self, roots: Iterable[Sparse]) -> tuple[int, ...]:
+        """``coeffs`` paired with each root, on the root's slots."""
+        c = self.coeffs
         return tuple(sum(c[j] * g for j, g in _dual(self.model.head, r)) for r in roots)
 
     def satisfies_period_conditions(self) -> bool:
@@ -789,43 +793,6 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
 # Lagrangian systems
 
 
-_COMPONENT_RANK_CAP = 8
-
-
-def _component_label(names: set[str], adj: dict[str, list[str]]) -> str:
-    """Classify one connected simply-laced component (path or single fork)."""
-    n = len(names)
-    degrees = {v: len(adj[v]) for v in names}
-    forks = [v for v in names if degrees[v] >= 3]
-    if not forks:
-        return f"A{n}"
-    if len(forks) > 1 or degrees[forks[0]] > 3:
-        raise InternalConsistencyError("unexpected branching in a Lagrangian system")
-    fork = forks[0]
-    arms = []
-    for start in adj[fork]:
-        length = 1
-        prev, cur = fork, start
-        while True:
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] != 1:
-        raise InternalConsistencyError("unexpected branching in a Lagrangian system")
-    if arms[1] == 1:
-        return f"D{arms[2] + 3}"
-    if arms[1] == 2:
-        label = f"E{arms[2] + 4}"
-        if arms[2] + 4 > _COMPONENT_RANK_CAP:
-            raise InternalConsistencyError(f"infinite-type component {label}")
-        return label
-    raise InternalConsistencyError("unexpected branching in a Lagrangian system")
-
-
 class LagrangianSystem(Record):
     """The zero-period wall classes of a reduced vector, with their type."""
 
@@ -853,10 +820,6 @@ class LagrangianSystem(Record):
         }
 
 
-def _sorted_component_labels(labels: list[str]) -> tuple[str, ...]:
-    return tuple(sorted(labels, key=lambda s: (-int(s[1:]), s[0])))
-
-
 def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     """Wall classes with zero period, assembled into a Coxeter system.
 
@@ -865,15 +828,15 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     names; the twist wall E_l is excluded because its class has square -1,
     not -2, so it never bounds a Lagrangian sphere system.
     """
-    walls = p.wall_periods()
+    # one generator table gives the wall periods and the members' roots
+    roots = generator_set(p.model).roots
+    walls = p._pair_roots(roots)
     if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
     _require_cone(p)
-    # the zero walls' roots, from the table; the twist s_l, the last wall,
-    # is never a member
-    roots = generator_set(p.model).roots
+    # the twist s_l, the last wall, is never a member
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
-    names = [f"s{i}" for i in zero]
+    names = tuple(f"s{i}" for i in zero)
     members = [dict(roots[i]) for i in zero]
     # each basis slot's members, so a member meets only those sharing a
     # slot with its dual support (a wall root has at most 4 slots)
@@ -881,36 +844,28 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     for k, root in enumerate(members):
         for j in root:
             touching.setdefault(j, []).append(k)
-    adj: dict[str, list[str]] = {n: [] for n in names}
+    pairs = {}
     for a, na in enumerate(names):
         dual = _dual(p.model.head, members[a].items())  # ca.cb over ca's slots
-        for b in sorted({b for j, _ in dual for b in touching.get(j, ()) if b > a}):
+        for b in {b for j, _ in dual for b in touching.get(j, ()) if b > a}:
             val = sum(members[b].get(j, 0) * g for j, g in dual)
             if val not in (-1, 0, 1):
                 raise InternalConsistencyError(f"wall classes {na}, {names[b]} pair to {val}")
             if val != 0:
-                adj[na].append(names[b])
-                adj[names[b]].append(na)
+                pairs[a, b] = 3
     from . import coxeter
 
-    edges = [(na, nb, 3) for na in names for nb in adj[na]]
-    system = coxeter.system_from_edges(tuple(names), edges)
-    labels = []
-    unvisited = set(names)
-    for start in names:
-        if start in unvisited:
-            comp = breadth_first((start,), adj.__getitem__)
-            unvisited -= comp
-            labels.append(_component_label(comp, adj))
-    if not coxeter.is_finite_type(system):
+    system = coxeter.CoxeterSystem(names, pairs)
+    components = coxeter.component_types(system)
+    if components is None:
         raise InternalConsistencyError("Lagrangian system is not finite type")
     return LagrangianSystem(
         p.model,
-        tuple(names),
+        names,
         # built only because the payload prints them
         tuple(_sparse_class(p.model, roots[i]) for i in zero),
         system,
-        _sorted_component_labels(labels),
+        components,
     )
 
 
@@ -941,7 +896,7 @@ def maximal_system_membership(sys: LagrangianSystem) -> MaximalMembership:
     all_names = tuple(f"s{i}" for i in range(l))
     if sys.model.kind is Kind.RULED:
         return MaximalMembership(f"D{l}", all_names)
-    if l <= _COMPONENT_RANK_CAP:
+    if l <= 8:
         return MaximalMembership(f"E{l}", all_names)
 
     def without(k: int) -> tuple[str, ...]:
@@ -953,7 +908,7 @@ def maximal_system_membership(sys: LagrangianSystem) -> MaximalMembership:
         return MaximalMembership(f"D{l - 1}", without(1))
     if "s2" not in present:
         return MaximalMembership(f"A1+A{l - 2}", without(2))
-    for k in range(3, _COMPONENT_RANK_CAP + 1):
+    for k in range(3, 9):
         if f"s{k}" not in present:
-            return MaximalMembership(f"E{k}+A{l - k - 1}", without(k))
+            return MaximalMembership(f"E{k}+A{l - k - 1}".removesuffix("+A0"), without(k))
     raise InternalConsistencyError("system contains an affine E9 subgraph")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ruled_lattice import catalog, coxeter
+from ruled_lattice import catalog, coxeter, weyl
 from ruled_lattice.catalog import (
     SMALL_CASE_LABELS,
     BlackBox,
@@ -235,6 +235,20 @@ def test_decompose_rejects_bad_inputs():
     )
     with pytest.raises(CatalogError, match="positive cone"):
         decompose_O12(negate)
+
+
+def _s2_s0star_power(n: int) -> LatticeAutomorphism:
+    """(s2 s0*)^n in closed form: its word has 2n letters, its entries 2n^2."""
+    a, b = 2 * n * n, 2 * n
+    return LatticeAutomorphism(o12_model(), ((a + 1, a, -b), (-a, 1 - a, b), (-b, -b, 1)))
+
+
+def test_decompose_refuses_a_descent_past_the_letter_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "WORD_LETTER_CAP", 100)
+    word = decompose_O12(_s2_s0star_power(50))
+    assert word.letters == ("s2", "s0*") * 50
+    with pytest.raises(CatalogError, match="descent reached more than 100 letters"):
+        decompose_O12(_s2_s0star_power(51))
 
 
 def test_evaluate_rejects_unknown_letters():

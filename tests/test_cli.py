@@ -70,6 +70,24 @@ def test_coxeter_finite_named_system(capsys):
     assert out.splitlines()[0].strip() == "finite"
 
 
+def test_coxeter_finite_exits_3_when_the_two_routes_disagree(capsys, monkeypatch):
+    from ruled_lattice import coxeter
+
+    # the elimination with its pivot-sign verdict flipped
+    real = coxeter._eliminate_gram
+    monkeypatch.setattr(coxeter, "_eliminate_gram", lambda s: (real(s)[0], not real(s)[1]))
+    code, out, err = run(capsys, "coxeter-finite", "--system", "E8")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal consistency failure: graph classification and Gram pivot signs disagree\n"
+
+
+def test_lagrangian_container_of_e8_alone(capsys):
+    argv = ("--model=rational", "--ell=9", "--periods=9,3,3,3,3,3,3,3,3,2")
+    code, out, _ = run(capsys, "lagrangian-system", *argv)
+    assert code == EXIT_OK
+    assert "type:     E8\n" in out and "inside:   E8 (s0, s1, s2, s3, s4, s5, s6, s7)\n" in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -683,6 +701,16 @@ def test_decompose_o12(capsys):
 
     code, _, err = run(capsys, "decompose-o12", "--matrix", "1,0,0;0,1,0;0,1,1")
     assert code == EXIT_USAGE
+
+
+def test_decompose_o12_past_the_letter_cap_exits_1(capsys, monkeypatch):
+    from ruled_lattice import weyl
+
+    monkeypatch.setattr(weyl, "WORD_LETTER_CAP", 100)
+    # (s2 s0*)^51, whose word has 102 letters
+    matrix = "5203,5202,-102;-5202,-5201,102;-102,-102,1"
+    code, out, err = run(capsys, "decompose-o12", "--matrix", matrix)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: descent reached more than 100 letters\n")
 
 
 def test_describe(capsys):

@@ -1,11 +1,13 @@
 """Coxeter systems: named graphs, finiteness, orders, crystal splits."""
 
 import itertools
+import math
 import random
 import time
 
 import pytest
 
+from ruled_lattice import coxeter
 from ruled_lattice.coxeter import (
     INF,
     CoxeterError,
@@ -15,6 +17,7 @@ from ruled_lattice.coxeter import (
     L3_4inf,
     L3_44,
     L4_344,
+    component_types,
     crystallographic_lattice_invariance,
     from_name,
     gram_determinant,
@@ -30,6 +33,7 @@ from ruled_lattice.coxeter import (
     type_E,
     verify_crystallographic,
 )
+from ruled_lattice.base import InternalConsistencyError
 from ruled_lattice.lattice import rational_model, ruled_model
 from ruled_lattice.qsqrt2 import ONE, ZERO, QSqrt2
 from ruled_lattice.weyl import expected_coxeter_system
@@ -193,6 +197,84 @@ def test_finiteness_dichotomy():
         assert not is_finite_type(system)
     for system in (type_A(1), type_A(6), type_B(4), type_D(7)):
         assert is_finite_type(system)
+
+
+def test_component_types_of_the_named_systems():
+    for n in range(1, 41):
+        assert component_types(type_A(n)) == (f"A{n}",)
+    for n in range(2, 41):
+        assert component_types(type_B(n)) == (f"B{n}",)
+    for n in range(4, 41):
+        assert component_types(type_D(n)) == (f"D{n}",)
+    for n in range(6, 9):
+        assert component_types(type_E(n)) == (f"E{n}",)
+    assert component_types(from_name("L4-3-4-3")) == ("F4",)
+    # the small D and E graphs are other types, or split
+    assert component_types(type_D(2)) == ("A1", "A1")
+    assert component_types(type_D(3)) == ("A3",)
+    assert component_types(type_E(3)) == ("A2", "A1")
+    assert component_types(type_E(4)) == ("A4",)
+    assert component_types(type_E(5)) == ("D5",)
+    infinite = [type_E(9), L4_344(), L3_44(), L3_4inf(), I2_inf()]
+    infinite += [type_BE(n) for n in range(5, 41)] + [type_BD(n) for n in range(4, 41)]
+    # a 4 inside a path past F4, two 4s, F4 extended
+    infinite += [from_name(n) for n in ("L5-3-4-3-3", "L4-4-3-4", "L5-3-3-4-3")]
+    names = ("a", "b", "c", "d", "e")
+    infinite += [
+        system_from_edges(names[:3], [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)]),
+        system_from_edges(names[:4], [("a", "b", 4), ("b", "c", 3), ("b", "d", 3)]),
+        system_from_edges(names, [("a", x, 3) for x in names[1:]]),  # a fork of degree 4
+    ]
+    for system in infinite:
+        assert component_types(system) is None, system
+    # components sort largest rank first, the letter breaking a tie
+    system = system_from_edges(names, [("e", "d", 4), ("c", "b", 3)])
+    assert component_types(system) == ("A2", "B2", "A1")
+
+
+# det(-Gram) of each finite connected type times 2^rank: the determinant of
+# its Cartan matrix
+_CARTAN_DET = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2,
+    "D": lambda n: 4,
+    "E": lambda n: 9 - n,
+    "F": lambda n: 1,
+}
+
+
+def test_component_types_match_the_gram_determinant_on_random_forests():
+    """Every type a random forest reaches, its rank and Cartan determinant
+    against the elimination's determinant: a check of the labels themselves,
+    not only of finiteness."""
+    rng = random.Random(21)
+    letters = set()
+    for _ in range(600):
+        names = [f"g{i}" for i in range(rng.randint(1, 9))]
+        edges = [
+            (a, rng.choice(names[:i]), rng.choice((3,) * 6 + (4, INF)))
+            for i, a in enumerate(names)
+            if i and rng.random() < 0.9
+        ]
+        rng.shuffle(names)
+        system = system_from_edges(names, edges)
+        types = component_types(system)
+        assert (types is not None) == is_finite_type(system)
+        if types is None:
+            continue
+        letters.update(t[0] for t in types)
+        assert sum(int(t[1:]) for t in types) == system.rank
+        cartan = math.prod(_CARTAN_DET[t[0]](int(t[1:])) for t in types)
+        assert gram_determinant(system) == QSqrt2(Fraction(cartan, 2**system.rank)), system
+    assert letters == set("ABDEF")
+
+
+def test_component_types_refuse_a_disagreeing_elimination(monkeypatch):
+    real = coxeter._eliminate_gram
+    monkeypatch.setattr(coxeter, "_eliminate_gram", lambda s: (real(s)[0], not real(s)[1]))
+    for system in (type_E(8), type_E(9), type_A(1)):
+        with pytest.raises(InternalConsistencyError, match="disagree"):
+            is_finite_type(system)
 
 
 def test_gram_determinant_values():

@@ -1,5 +1,6 @@
 """Weyl-group machinery: generators, orbits, reductions, wall systems."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruled_lattice import lattice, weyl
+from ruled_lattice.coxeter import CoxeterSystem, component_types
 from ruled_lattice.lattice import (
     HomologyClass,
     Kind,
@@ -27,6 +29,7 @@ from ruled_lattice.lattice import (
 )
 from ruled_lattice.weyl import (
     GroupWord,
+    LagrangianSystem,
     NotReducedError,
     OutsideConeError,
     PeriodVector,
@@ -990,3 +993,32 @@ def test_membership_many_blowups_scans_for_the_missing_wall():
     memb = maximal_system_membership(sys)
     assert memb.container_label == "D9"
     assert "s1" not in memb.container_names
+
+
+# maximal_system_membership's names for the small members of its families,
+# spelled as the classifier's components
+_SMALL_CONTAINERS = {"E3": "A2+A1", "E4": "A4", "E5": "D5", "D2": "A1+A1", "D3": "A3"}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [rational_model(l) for l in range(3, 41)] + [ruled_model(l) for l in range(2, 41)],
+    ids=str,
+)
+def test_every_container_classifies_to_its_label(model):
+    # the wall graph on s0..s_{l-1} by the dense pairing of their classes
+    l = model.blowups
+    gens = generator_set(model)
+    classes = [gens.class_of(f"s{i}") for i in range(l)]
+    edges = [e for e in itertools.combinations(range(l), 2) if pairing(*(classes[i] for i in e))]
+    # the container depends only on the first wall of s0..s8 that is absent
+    missing = range(9) if model.kind is Kind.RATIONAL and l >= 9 else (None,)
+    for k in missing:
+        present = tuple(f"s{i}" for i in range(l) if i != k)
+        memb = maximal_system_membership(LagrangianSystem(model, present, (), None, ()))
+        slot = {int(name[1:]): a for a, name in enumerate(memb.container_names)}
+        pairs = {(slot[i], slot[j]): 3 for i, j in edges if i in slot and j in slot}
+        types = component_types(CoxeterSystem(memb.container_names, pairs))
+        parts = memb.container_label.split("+")
+        want = [t for part in parts for t in _SMALL_CONTAINERS.get(part, part).split("+")]
+        assert types is not None and sorted(types) == sorted(want), (k, memb)

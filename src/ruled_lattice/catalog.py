@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Union
 
-from . import coxeter, weyl
+from . import coxeter, lattice, weyl
 from .base import SMALL_CASE_LABELS, Record
 from .coxeter import CoxeterSystem
 from .lattice import Kind, LatticeAutomorphism, LatticeError, ManifoldModel, rational_model
@@ -350,21 +350,21 @@ def _o12_residual_table() -> dict[tuple, tuple[str, ...]]:
     signed permutations of E1, E2, a dihedral group of order 8)."""
     spelled = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1", "s2 s1 s2", "s1 s2 s1 s2")
     words = [GroupWord(w.split()) for w in spelled]
-    return {evaluate_o12_word(w).matrix: w.letters for w in words}
+    return {tuple(zip(*evaluate_o12_word(w).matrix)): w.letters for w in words}  # by columns
 
 
 def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
     """Express a form- and cone-preserving automorphism of the rank-3
     lattice as a word in s1, s2, s0*.
 
-    Descends on the L-coefficient of the image of L: after normalizing
-    the two exceptional coefficients to be nonnegative and sorted, the
-    coefficient identity forces their sum to exceed l whenever l >= 2, so
-    the twist along L - E1 - E2 strictly decreases l.  At l = 1 the
-    automorphism fixes L and a table lookup over the eight signed
-    permutations finishes the word.  A descent longer than
-    ``weyl.WORD_LETTER_CAP`` letters raises CatalogError: its length grows
-    with the entries, not with their digits.
+    Descends on the L-coefficient of the image of L, moving the columns
+    (the images of L, E1, E2) by root actions: after normalizing the two
+    exceptional coefficients to be nonnegative and sorted, the coefficient
+    identity forces their sum to exceed l whenever l >= 2, so the twist
+    along L - E1 - E2 strictly decreases l.  At l = 1 the automorphism
+    fixes L and a table lookup over the eight signed permutations finishes
+    the word.  A descent longer than ``weyl.WORD_LETTER_CAP`` letters raises
+    CatalogError: its length grows with the entries, not with their digits.
     """
     model = o12_model()
     if m.model != model:
@@ -373,22 +373,23 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         raise CatalogError("input does not preserve the intersection form")
     if not m.is_cone_preserving():
         raise CatalogError("input does not preserve the positive cone")
-    gens = _o12_gens().automorphisms
+    gens = _o12_gens()
     neg_e1 = ("s1", "s2", "s1")  # conjugate the E2 twist to the E1 twist
 
-    current = m
+    cols = tuple(zip(*m.matrix))
     descent: list[str] = []
 
     def push(names: tuple[str, ...]) -> None:
-        nonlocal current
+        nonlocal cols
         for name in names:
-            current = gens[name] @ current
+            action = gens.root_action(name)
+            cols = tuple(lattice.reflect_coeffs(action, col) for col in cols)
             descent.append(name)
 
     while True:
         if len(descent) > weyl.WORD_LETTER_CAP:
             raise CatalogError(f"descent reached more than {weyl.WORD_LETTER_CAP} letters")
-        l, c1, c2 = (row[0] for row in current.matrix)
+        l, c1, c2 = cols[0]
         if l == 1:
             break
         if l < 1:
@@ -397,14 +398,14 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
             push(neg_e1)
         if c2 > 0:
             push(("s2",))
-        if -current.matrix[1][0] < -current.matrix[2][0]:
+        if -cols[0][1] < -cols[0][2]:
             push(("s1",))
-        before = current.matrix[0][0]
+        before = cols[0][0]
         push(("s0*",))
-        if current.matrix[0][0] >= before:
+        if cols[0][0] >= before:
             raise CatalogError("descent failed to decrease l; input was invalid")
 
-    residual = _o12_residual_table().get(current.matrix)
+    residual = _o12_residual_table().get(cols)
     if residual is None:
         raise CatalogError("residual automorphism is not a signed permutation")
     return GroupWord(tuple(residual) + tuple(reversed(descent)))

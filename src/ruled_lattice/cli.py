@@ -197,7 +197,7 @@ def _get_dict(inp: dict, key: str) -> dict:
 
 
 class _Outcome(Record):
-    result: dict
+    result: dict  # a callable value is called only when JSON is written
     lines: Iterable[str]  # consumed only when text is printed
     code: int = EXIT_OK
 
@@ -213,14 +213,21 @@ class _Command(Record):
 
 
 def _run_manifold_info(inp: dict) -> _Outcome:
+    from .lattice import _dual
+
     model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    h, n = model.head, model.rank
     result: dict = {
         "kind": model.kind.value,
         "blowups": model.blowups,
         "genus": model.genus,
-        "rank": model.rank,
+        "rank": n,
         "basis": list(model.basis_names),
-        "gram": [list(row) for row in model.gram],
+        # a callable, so only a written JSON payload builds the rank^2 rows;
+        # row i is 0 but at the one pair (k, g) of G e_i
+        "gram": lambda: [
+            [0] * k + [g] + [0] * (n - 1 - k) for i in range(n) for k, g in _dual(h, ((i, 1),))
+        ],
     }
     lines = [
         f"kind:     {model.kind.value}",
@@ -764,7 +771,7 @@ _COMMANDS = {
         ),
         _Command(
             "coxeter-finite",
-            "finite or infinite, by exact leading minors",
+            "finite or infinite, by the graph, checked against Gram pivot signs",
             _COXETER_FINITE_FLAGS,
             _run_coxeter_finite,
             ("coxeter",),
@@ -963,7 +970,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(json.dumps({"subcommand": cmd.name, "input": inp, "result": outcome.result}, indent=2))
+        result = {k: v() if callable(v) else v for k, v in outcome.result.items()}
+        print(json.dumps({"subcommand": cmd.name, "input": inp, "result": result}, indent=2))
     else:
         for line in outcome.lines:
             print(line)

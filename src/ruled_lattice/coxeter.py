@@ -19,7 +19,7 @@ the two routes can be compared.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .base import INF, CoxeterError, InternalConsistencyError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
@@ -298,36 +298,32 @@ def _gram_rows(system: CoxeterSystem) -> list[dict[int, QSqrt2]]:
     return rows
 
 
-def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
-    """Determinant of -Gram and whether -Gram is positive definite.
+def _gram_pivots(system: CoxeterSystem) -> Iterator[tuple[QSqrt2, bool]]:
+    """The pivots of one Gaussian elimination of Gram, each with whether a
+    row swap came before it; a column with no pivot left ends it with 0.
 
-    One Gaussian elimination of Gram, exact over Q(sqrt2).  While no row
-    swap has been needed the k-th pivot is the ratio of the k-th to the
-    (k-1)-th leading principal minor, so -Gram is positive definite exactly
-    when every pivot is negative; a needed swap means a minor vanished.
-    Rows keep only their nonzero entries and ``below[c]`` the rows with an
-    entry in column c: the dense arithmetic with the zeros skipped.  Along
-    a tree, as in every named system, nothing fills in, so the cost is
-    linear in the rank.
+    The elimination is exact over Q(sqrt2).  While no row swap has been
+    needed the k-th pivot is the ratio of the k-th to the (k-1)-th leading
+    principal minor, so -Gram is positive definite exactly when every pivot
+    is negative; a needed swap means a minor vanished.  Rows keep only their
+    nonzero entries and ``below[c]`` the rows with an entry in column c: the
+    dense arithmetic with the zeros skipped.  Along a tree, as in every
+    named system, nothing fills in, so the cost is linear in the rank.
     """
     rows = _gram_rows(system)
     n = len(rows)
     below = [set(row) for row in rows]  # Gram is symmetric
-    det = -ONE if n % 2 else ONE  # det(-Gram) = (-1)^n det(Gram)
-    definite = True
     for col in range(n):
         pivot_row = min((r for r in below[col] if r >= col), default=None)
         if pivot_row is None:
-            return ZERO, False
+            yield ZERO, False
+            return
         if pivot_row != col:
             for c in rows[col].keys() ^ rows[pivot_row].keys():
                 below[c] ^= {col, pivot_row}
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-            definite = False
         pivot = rows[col][col]
-        det = det * pivot
-        definite = definite and pivot.sign() < 0
+        yield pivot, pivot_row != col
         # columns < col are gone from the rows below: the tail lies to the right
         tail = [(c, y) for c, y in rows[col].items() if c != col]
         for r in below[col]:
@@ -343,7 +339,13 @@ def _eliminate_gram(system: CoxeterSystem) -> tuple[QSqrt2, bool]:
                 else:
                     row.pop(c, None)
                     below[c].discard(r)
-    return det, definite
+
+
+def _definite(system: CoxeterSystem) -> bool:
+    """Whether -Gram is positive definite, by the pivot signs alone: the
+    elimination stops at the first swap or pivot that is not negative, and
+    no determinant is multiplied out (on A_n its denominator grows to 2^n)."""
+    return all(not swapped and p.sign() < 0 for p, swapped in _gram_pivots(system))
 
 
 def _component_type(nodes: list[int], adj: list[list[tuple[int, object]]]) -> Optional[str]:
@@ -384,7 +386,7 @@ def component_types(system: CoxeterSystem) -> Optional[tuple[str, ...]]:
     path F4 with its 4 in the middle, or a tree with one fork of degree 3,
     no 4 and arms (1, 1, k) (D_{k+3}) or (1, 2, 2..4) (E6..E8) (Humphreys,
     Reflection Groups and Coxeter Groups, 2.4-2.7).  The pivot signs of
-    ``_eliminate_gram`` must agree: InternalConsistencyError if not.
+    ``_definite`` must agree: InternalConsistencyError if not.
     """
     adj: list[list[tuple[int, object]]] = [[] for _ in system.names]
     for (i, j), m in system.pairs.items():
@@ -401,7 +403,7 @@ def component_types(system: CoxeterSystem) -> Optional[tuple[str, ...]]:
                     nodes.append(w)
         types.append(_component_type(nodes, adj))
     finite = None not in types
-    if finite != _eliminate_gram(system)[1]:
+    if finite != _definite(system):
         raise InternalConsistencyError("graph classification and Gram pivot signs disagree")
     return tuple(sorted(types, key=lambda s: (-int(s[1:]), s[0]))) if finite else None
 
@@ -412,8 +414,12 @@ def is_finite_type(system: CoxeterSystem) -> bool:
 
 
 def gram_determinant(system: CoxeterSystem) -> QSqrt2:
-    """Determinant of the negated Gram matrix (0 for affine systems)."""
-    return _eliminate_gram(system)[0]
+    """Determinant of the negated Gram matrix (0 for affine systems): the
+    product of the pivots, a row swap flipping the sign."""
+    det = -ONE if system.rank % 2 else ONE  # det(-Gram) = (-1)^n det(Gram)
+    for pivot, swapped in _gram_pivots(system):
+        det = det * (-pivot if swapped else pivot)
+    return det
 
 
 # ---------------------------------------------------------------------------

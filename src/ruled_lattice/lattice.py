@@ -77,22 +77,6 @@ class ManifoldModel(Record):
         heads = ("L",) if self.kind is Kind.RATIONAL else ("Y", "F")
         return heads + tuple(f"E{i}" for i in range(1, self.blowups + 1))
 
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Gram matrix of the intersection form in the fixed basis.
-
-        In both models the Gram matrix is an involution, which makes
-        inverting a form-preserving matrix M a transpose: M^-1 = G M^T G.
-        """
-        n, h = self.rank, self.head
-        rows = [[0] * n for _ in range(n)]
-        # L.L = 1, resp. Y.F = F.Y = 1
-        for i in range(h):
-            rows[i][h - 1 - i] = 1
-        for i in range(h, n):
-            rows[i][i] = -1
-        return tuple(tuple(r) for r in rows)
-
     def exceptional_index(self, i: int) -> int:
         """Coefficient index of E_i (1-based i)."""
         if not 1 <= i <= self.blowups:
@@ -271,16 +255,13 @@ class LatticeAutomorphism(Record):
         return LatticeAutomorphism(self.model, rows)
 
     def preserves_form(self) -> bool:
-        g = self.model.gram
-        n = self.model.rank
-        for i in range(n):
-            for j in range(i, n):
-                lhs = _pair_coeffs(
-                    self.model,
-                    [self.matrix[r][i] for r in range(n)],
-                    [self.matrix[r][j] for r in range(n)],
-                )
-                if lhs != g[i][j]:
+        """Whether columns i <= j pair to the form's entry G_ij; G e_i, read
+        off ``_dual``, is one pair (k, g): G_ik = g and row i is 0 elsewhere."""
+        model, cols = self.model, tuple(zip(*self.matrix))
+        for i, col in enumerate(cols):
+            ((k, g),) = _dual(model.head, ((i, 1),))
+            for j in range(i, model.rank):
+                if _pair_coeffs(model, col, cols[j]) != (g if j == k else 0):
                     return False
         return True
 

@@ -163,6 +163,9 @@ class GroupWord(Record):
         return acc
 
     def apply_to_coeffs(self, gens: GeneratorSet, coeffs: Sequence) -> tuple:
+        # dense on purpose, for now: over root actions it is about 10x faster,
+        # but the benchmark worker keeps a record per op, so its peak memory
+        # grows with throughput past its bound until that worker is bounded
         out = tuple(coeffs)
         _check_length(gens.model, out)
         for letter in self.letters:

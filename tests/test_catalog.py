@@ -224,6 +224,41 @@ def test_decompose_random_round_trips():
         assert evaluate_o12_word(recovered) == target
 
 
+def _dense_descent(m: LatticeAutomorphism) -> tuple[str, ...]:
+    """The descent of ``decompose_O12`` over dense products, ``g @ current``
+    per letter, with the residual looked up by its whole matrix: the
+    reference the root-action descent must match letter for letter."""
+    gens = o12_generators()
+    spelled = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1", "s2 s1 s2", "s1 s2 s1 s2")
+    residuals = {evaluate_o12_word(GroupWord(w.split())).matrix: tuple(w.split()) for w in spelled}
+    current, descent = m, []
+
+    def push(*names):
+        nonlocal current
+        for name in names:
+            current = gens[name] @ current
+            descent.append(name)
+
+    while current.matrix[0][0] != 1:
+        if current.matrix[1][0] > 0:
+            push("s1", "s2", "s1")
+        if current.matrix[2][0] > 0:
+            push("s2")
+        if -current.matrix[1][0] < -current.matrix[2][0]:
+            push("s1")
+        push("s0*")
+    return residuals[current.matrix] + tuple(reversed(descent))
+
+
+def test_decompose_matches_the_dense_descent():
+    rng = random.Random(22)
+    targets = [evaluate_o12_word(random_o12_word(rng.randrange(0, 41), rng)) for _ in range(200)]
+    targets += [_s2_s0star_power(n) for n in range(1, 51)]
+    for target in targets:
+        assert decompose_O12(target).letters == _dense_descent(target)
+    assert decompose_O12(_s2_s0star_power(50)).letters == ("s2", "s0*") * 50
+
+
 def test_decompose_rejects_bad_inputs():
     with pytest.raises(CatalogError, match="rank-3"):
         decompose_O12(LatticeAutomorphism.identity(rational_model(3)))

@@ -74,8 +74,8 @@ def test_coxeter_finite_exits_3_when_the_two_routes_disagree(capsys, monkeypatch
     from ruled_lattice import coxeter
 
     # the elimination with its pivot-sign verdict flipped
-    real = coxeter._eliminate_gram
-    monkeypatch.setattr(coxeter, "_eliminate_gram", lambda s: (real(s)[0], not real(s)[1]))
+    real = coxeter._definite
+    monkeypatch.setattr(coxeter, "_definite", lambda s: not real(s))
     code, out, err = run(capsys, "coxeter-finite", "--system", "E8")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == "internal consistency failure: graph classification and Gram pivot signs disagree\n"
@@ -911,6 +911,27 @@ def test_installed_script_runs():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0].strip() == "infinite"
+
+
+# runs one call and prints its peak RSS in KiB (Linux units).  A child of
+# pytest would start from pytest's RSS, so a small interpreter of its own
+# spawns the call and RUSAGE_CHILDREN holds that call's peak alone
+_PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+argv = [sys.executable, "-m", "ruled_lattice.cli", *sys.argv[1:]]
+subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_text_manifold_info_builds_no_rank_squared_form():
+    # the form's rows are built only for a JSON payload: at l = 3000 the
+    # rank^2 rows are about 150 MB, the text call about 17 MB
+    argv = ["manifold-info", "--model=rational", "--ell=3000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    assert int(proc.stdout) < 60 * 1024
 
 
 # ---------------------------------------------------------------------------

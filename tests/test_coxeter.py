@@ -270,8 +270,8 @@ def test_component_types_match_the_gram_determinant_on_random_forests():
 
 
 def test_component_types_refuse_a_disagreeing_elimination(monkeypatch):
-    real = coxeter._eliminate_gram
-    monkeypatch.setattr(coxeter, "_eliminate_gram", lambda s: (real(s)[0], not real(s)[1]))
+    real = coxeter._definite
+    monkeypatch.setattr(coxeter, "_definite", lambda s: not real(s))
     for system in (type_E(8), type_E(9), type_A(1)):
         with pytest.raises(InternalConsistencyError, match="disagree"):
             is_finite_type(system)

@@ -43,6 +43,24 @@ def _extra_wall(model):
     return HomologyClass(model, (0, 1, -1, -1) + (0,) * (model.blowups - 2))
 
 
+def _reference_gram(model):
+    """The dense Gram matrix, written out from the basis names: L.L = 1,
+    Y.F = F.Y = 1, E_i.E_i = -1 and 0 elsewhere."""
+    names = model.basis_names
+    squares = {("L", "L"): 1, ("Y", "F"): 1, ("F", "Y"): 1}
+    return tuple(
+        tuple(-1 if a == b and a[0] == "E" else squares.get((a, b), 0) for b in names)
+        for a in names
+    )
+
+
+def _pairing_table(model):
+    """The library's pairing of every two basis classes."""
+    n = model.rank
+    units = [HomologyClass(model, tuple(int(i == j) for j in range(n))) for i in range(n)]
+    return tuple(tuple(pairing(a, b) for b in units) for a in units)
+
+
 def _adjacent_difference(model, i):
     """E_i - E_{i+1}, written out."""
     before = model.head + i - 1
@@ -74,8 +92,9 @@ def test_model_validation():
 
 def test_gram_is_an_involution():
     for model in (rational_model(5), ruled_model(4, genus=2)):
-        g = model.gram
+        g = _reference_gram(model)
         n = model.rank
+        assert g == _pairing_table(model)
         squared = [
             [sum(g[i][k] * g[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
@@ -91,7 +110,7 @@ def test_head_is_the_one_basis_layout(kind):
         assert model.rank == h + l
         assert model.basis_names[:h] == (("L",) if h == 1 else ("Y", "F"))
         assert model.basis_names[h:] == tuple(f"E{i}" for i in range(1, l + 1))
-        g = model.gram
+        g = _pairing_table(model)
         # the head block is L.L = 1 resp. Y.F = 1; every E_i squares to -1
         assert [row[:h] for row in g[:h]] == ([(1,)] if h == 1 else [(0, 1), (1, 0)])
         assert g == tuple(
@@ -227,7 +246,7 @@ def test_pairing_is_symmetric_and_bilinear(data):
     assert pairing(a, b) == pairing(b, a)
     assert pairing(a + b, a + b) == a.square + 2 * pairing(a, b) + b.square
     # the dense Gram matrix, a second route to the form
-    gram = model.gram
+    gram = _reference_gram(model)
     assert pairing(a, b) == sum(
         x * gram[i][j] * y
         for i, x in enumerate(a.coeffs)
@@ -264,7 +283,7 @@ def _gram_row_reflection(s):
     instead, so this is a second route to both."""
     coef = {-2: 1, -1: 2}[s.square]
     n = s.model.rank
-    gs = [sum(g * c for g, c in zip(row, s.coeffs)) for row in s.model.gram]
+    gs = [sum(g * c for g, c in zip(row, s.coeffs)) for row in _reference_gram(s.model)]
     return tuple(
         tuple(int(i == j) + coef * s.coeffs[i] * gs[j] for j in range(n))
         for i in range(n)
@@ -307,6 +326,38 @@ def test_cone_preservation_flag():
     minus = LatticeAutomorphism(R3, tuple(tuple(-x for x in row) for row in ident.matrix))
     assert minus.preserves_form()
     assert not minus.is_cone_preserving()
+
+
+def _preserves_form_densely(m):
+    """M^T G M == G over the reference Gram matrix."""
+    g, n = _reference_gram(m.model), m.model.rank
+    a = m.matrix
+    gm = [[sum(g[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    mt_gm = [[sum(a[k][i] * gm[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return mt_gm == [list(row) for row in g]
+
+
+def test_preserves_form_matches_the_dense_gram():
+    rng = random.Random(22)
+    verdicts = set()
+    for model in [rational_model(l) for l in range(2, 8)] + [ruled_model(l) for l in range(1, 7)]:
+        n, h = model.rank, model.head
+        head = [(1, -1, -1)] if h == 1 else [(1, 0, -1), (0, 1, -1)]  # L-E1-E2; Y-E1, F-E1
+        mirrors = [_cls(model, *c, *(0,) * (n - 3)) for c in head]
+        mirrors += [exceptional_class(model, i) for i in range(1, model.blowups + 1)]
+        mirrors += [_adjacent_difference(model, i) for i in range(1, model.blowups)]
+        for _ in range(20):
+            m = LatticeAutomorphism.identity(model)
+            for _ in range(rng.randrange(6)):
+                m = reflection_along(rng.choice(mirrors)) @ m
+            rows = [list(row) for row in m.matrix]
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+            noise = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            for cand in (m, *(LatticeAutomorphism(model, r) for r in (rows, noise))):
+                verdict = cand.preserves_form()
+                assert verdict == _preserves_form_densely(cand), cand
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -260,17 +260,18 @@ def _run_pair(inp: dict) -> _Outcome:
     model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
     a = HomologyClass(model, tuple(_get_int_list(inp, "a")))
     b = HomologyClass(model, tuple(_get_int_list(inp, "b")))
+    ab = pairing(a, b)
     result = {
         "a": str(a),
         "b": str(b),
-        "pairing": pairing(a, b),
+        "pairing": ab,
         "a_square": a.square,
         "b_square": b.square,
     }
     lines = (
         f"a:        {a}  (square {a.square})",
         f"b:        {b}  (square {b.square})",
-        f"pairing:  {pairing(a, b)}",
+        f"pairing:  {ab}",
     )
     return _Outcome(result, lines)
 

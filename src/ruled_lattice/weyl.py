@@ -49,7 +49,9 @@ from .lattice import (
     _sparse_class,
     exceptional_class,
     positive_cone_contains,
+    rational_model,
     reflect_coeffs,
+    ruled_model,
 )
 
 if TYPE_CHECKING:
@@ -183,26 +185,21 @@ class GroupWord(Record):
 def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     """The Coxeter graph the generator set is asserted to realize.
 
-    Rational blowups l >= 4 give the rank l+1 graph with a label-4 tail and
-    the extra node on s3 (l = 3 degenerates to the chain 3-4-4); ruled
-    models attach the extra node to s2 instead (l = 2 degenerates to 4-4).
-    The two degenerate chains keep the generator order s0..s_l, which
-    coxeter.L4_344 and coxeter.L3_44 do not.
+    Node i is s_i: the chain s1..s_l with a label-4 tail, and s0 on the leg
+    s_{4-h}, the last slot of s0's root (s3 rational, s2 ruled).  Past the
+    leg this is BE_{l+1} resp. BD_{l+1}; at l = 4 - h the leg lands on the
+    twist across a 4, the chain 3-4-4 resp. 4-4, kept in the generator
+    order s0..s_l, which coxeter.L4_344 and coxeter.L3_44 do not.
     """
     from . import coxeter
 
-    l = model.blowups
-    if model.kind is Kind.RATIONAL:
-        if l < 3:
-            raise LatticeError("no presentation below 3 blowups in the rational model")
-        if l > 3:
-            return coxeter.type_BE(l + 1)
-        return coxeter._chain_with_leg(4, 3, "L4-3-4-4", tail=4, leg_label=4)
-    if l < 2:
-        raise LatticeError("no presentation below 2 blowups in the ruled model")
-    if l > 2:
-        return coxeter.type_BD(l + 1)
-    return coxeter._chain_with_leg(3, 2, "L3-4-4", tail=4, leg_label=4)
+    l, leg = model.blowups, 4 - model.head
+    if l < leg:
+        raise LatticeError(f"no presentation below {leg} blowups in the {model.kind.value} model")
+    if l > leg:
+        return (coxeter.type_BE if leg == 3 else coxeter.type_BD)(l + 1)
+    label = "L4-3-4-4" if leg == 3 else "L3-4-4"
+    return coxeter._chain_with_leg(l + 1, leg, label, tail=4, leg_label=4)
 
 
 def _product_order(first: RootAction, then: RootAction, cap: int) -> Optional[int]:
@@ -552,14 +549,10 @@ def _periods(
 
 
 def rational_periods(blowups: int, line, mus) -> PeriodVector:
-    from .lattice import rational_model
-
     return _periods(rational_model(blowups), (line,), mus)
 
 
 def ruled_periods(blowups: int, fiber, section, mus, genus: int = 1) -> PeriodVector:
-    from .lattice import ruled_model
-
     return _periods(ruled_model(blowups, genus), (fiber, section), mus)
 
 
@@ -829,9 +822,11 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     Input must satisfy the period conditions (reduce first) and lie in the
     open positive cone, checked in that order.  Members keep their generator
     names; the twist wall E_l is excluded because its class has square -1,
-    not -2, so it never bounds a Lagrangian sphere system.
+    not -2, so it never bounds a Lagrangian sphere system.  The members are
+    simple reflections, so their graph is the presentation's graph on them
+    (a parabolic subgroup); its 4-edges all touch the twist.
     """
-    # one generator table gives the wall periods and the members' roots
+    # one generator table gives the wall periods and the member classes
     roots = generator_set(p.model).roots
     walls = p._pair_roots(roots)
     if min(walls) < 0:
@@ -840,22 +835,9 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     # the twist s_l, the last wall, is never a member
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
     names = tuple(f"s{i}" for i in zero)
-    members = [dict(roots[i]) for i in zero]
-    # each basis slot's members, so a member meets only those sharing a
-    # slot with its dual support (a wall root has at most 4 slots)
-    touching: dict[int, list[int]] = {}
-    for k, root in enumerate(members):
-        for j in root:
-            touching.setdefault(j, []).append(k)
-    pairs = {}
-    for a, na in enumerate(names):
-        dual = _dual(p.model.head, members[a].items())  # ca.cb over ca's slots
-        for b in {b for j, _ in dual for b in touching.get(j, ()) if b > a}:
-            val = sum(members[b].get(j, 0) * g for j, g in dual)
-            if val not in (-1, 0, 1):
-                raise InternalConsistencyError(f"wall classes {na}, {names[b]} pair to {val}")
-            if val != 0:
-                pairs[a, b] = 3
+    at = {i: k for k, i in enumerate(zero)}
+    graph = expected_coxeter_system(p.model).pairs
+    pairs = {(at[i], at[j]): m for (i, j), m in graph.items() if i in at and j in at}
     from . import coxeter
 
     system = coxeter.CoxeterSystem(names, pairs)

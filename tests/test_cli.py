@@ -611,6 +611,25 @@ def test_reflect_at_high_rank_uses_the_root_action(capsys, monkeypatch):
     image = [t + 2 * dot * m for t, m in zip(target, mirror)]
     assert json.loads(out)["result"]["image"] == image
 
+    # the first routes of the period, class and wall-system commands stay
+    # sparse too, under the same guard
+    def result(*argv):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK, argv[0]
+        return json.loads(out)["result"]
+
+    l = 2000
+    rational = ("--model=rational", f"--ell={l}")
+    periods = "--periods=" + ",".join(["6000"] + ["1"] * l)
+    red = result("reduce-periods", *rational, periods)
+    assert red["word"] == [] and len(red["boundary_flags"]) == l - 1
+    coeffs = [1, -1, -1] + [0] * (l - 2)  # L - E1 - E2
+    red = result("reduce-class", *rational, "--coeffs=" + ",".join(map(str, coeffs)))
+    assert red["in_orbit"] is True
+    assert result("lagrangian-system", *rational, periods)["label"] == f"A{l - 1}"
+    ruled = "--periods=" + ",".join(["2", str(l + 1)] + ["1"] * l)
+    assert result("lagrangian-system", "--model=ruled", f"--ell={l}", ruled)["label"] == f"D{l}"
+
 
 def test_coxeter_check(capsys):
     code, out, _ = run(capsys, "coxeter-check", "--model", "rational", "--ell", "4")

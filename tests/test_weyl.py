@@ -207,6 +207,40 @@ def test_expected_system_labels_and_orders():
     assert expected_coxeter_system(ruled_model(3, 1)).label == "BD4"
 
 
+def _ruled_into_rational(l: int) -> list[HomologyClass]:
+    """The images of the ruled basis Y, F, E1..El in rational l+1:
+    Y -> L - E1, F -> L - E2, E1 -> L - E1 - E2 and E_i -> E_{i+1}."""
+    r = rational_model(l + 1)
+    L, E = line_class(r), [None] + [exceptional_class(r, i) for i in range(1, l + 2)]
+    return [L - E[1], L - E[2], L - E[1] - E[2]] + [E[i + 1] for i in range(2, l + 1)]
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_ruled_graph_through_the_isometry_into_rational(l):
+    # ruled l is isometric to rational l+1: s0 -> E1 - E3, s1 -> L - E1 -
+    # E2 - E3 and s_i -> s_{i+1}; the graph's pair orders are recomputed on
+    # the images' root actions, in the rational model
+    model = ruled_model(l, 1)
+    images = _ruled_into_rational(l)
+    n = model.rank
+    basis = [HomologyClass(model, (0,) * i + (1,) + (0,) * (n - i - 1)) for i in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        assert pairing(images[a], images[b]) == pairing(basis[a], basis[b]), (a, b)
+    gens, rational = generator_set(model), generator_set(rational_model(l + 1))
+    zero = images[0] * 0
+    image = {
+        g: sum((x * k for x, k in zip(images, gens.class_of(g).coeffs)), zero) for g in gens.names
+    }
+    assert image["s0"] == rational.class_of("s1") + rational.class_of("s2")  # E1 - E3
+    assert image["s1"] == rational.class_of("s0")
+    assert all(image[f"s{i}"] == rational.class_of(f"s{i + 1}") for i in range(2, l + 1))
+    actions = {g: lattice.root_action(c) for g, c in image.items()}
+    expected = expected_coxeter_system(model)
+    for i, a in enumerate(gens.names):
+        for b in gens.names[i + 1 :]:
+            assert weyl._product_order(actions[b], actions[a], 16) == expected.order(a, b), (a, b)
+
+
 def test_presentation_report_json_shape():
     report = verify_presentation(generator_set(R3))
     data = report.to_json_dict()
@@ -950,6 +984,33 @@ def test_lagrangian_system_pairs_members_on_their_root_slots(monkeypatch):
     monkeypatch.setattr(weyl, "_root_action", unused)
     assert lagrangian_system(rational_periods(40, 120, (1,) * 40)).label == "A39"
     assert lagrangian_system(ruled_periods(40, 2, 21, (1,) * 40)).label == "D40"
+
+
+def _member_graph(sys: LagrangianSystem) -> CoxeterSystem:
+    """The members' graph from their roots' pairings: two square -2 roots
+    pairing to -1 or 1 generate order 3, orthogonal ones order 2; any other
+    pairing fails."""
+    classes = sys.member_classes
+    pairs = {}
+    for a, b in itertools.combinations(range(len(classes)), 2):
+        val = pairing(classes[a], classes[b])
+        assert val in (-1, 0, 1), (sys.member_names[a], sys.member_names[b], val)
+        if val:
+            pairs[a, b] = 3
+    return CoxeterSystem(sys.member_names, pairs)
+
+
+@given(cone_periods())
+@settings(max_examples=150, deadline=None)
+def test_lagrangian_system_graph_is_the_member_roots_graph(p):
+    # the presentation's graph on the zero walls against the members' own
+    # pairings, on reduced vectors of both models, fractional ones too
+    reduced = reduce_periods(p).reduced
+    sys = lagrangian_system(reduced)
+    gens = generator_set(p.model)
+    assert sys.member_classes == tuple(gens.class_of(n) for n in sys.member_names)
+    assert all(reduced.period_of(c) == 0 for c in sys.member_classes)
+    assert sys.system == _member_graph(sys)
 
 
 def test_lagrangian_system_json_shape():

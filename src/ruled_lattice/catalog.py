@@ -182,7 +182,7 @@ _SMALL_CASES = {
     ),
     "blownup-S2xS2": GroupDescription(
         "cone-preserving homology image of the twice blown-up plane",
-        CoxeterGroup(coxeter.L3_4inf()),
+        CoxeterGroup(coxeter.from_name("L3-4-INF")),
         (
             "equals the full cone-preserving automorphism group"
             " of the rank 3 lattice",

@@ -19,7 +19,7 @@ the two routes can be compared.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .base import INF, CoxeterError, InternalConsistencyError, Record
 from .qsqrt2 import HALF, HALF_SQRT2, ONE, QSqrt2, SQRT2, ZERO
@@ -140,24 +140,6 @@ class CoxeterSystem(Record):
         return cls(names, pairs, label=data.get("label"))
 
 
-def system_from_edges(
-    names: Sequence[str],
-    edges: Iterable[tuple[str, str, object]],
-    label: Optional[str] = None,
-) -> CoxeterSystem:
-    """Build a system from its graph; unlisted pairs commute (order 2)."""
-    names = tuple(names)
-    slots = _slots(names)
-    pairs = {}
-    for a, b, order in edges:
-        try:
-            i, j = slots[a], slots[b]
-        except KeyError as exc:
-            raise CoxeterError(f"edge endpoint {exc.args[0]!r} is not a generator") from None
-        pairs[min(i, j), max(i, j)] = order
-    return CoxeterSystem(names, pairs, label=label)
-
-
 # ---------------------------------------------------------------------------
 # named systems
 
@@ -170,80 +152,55 @@ def linear(
         names = [f"s{i}" for i in range(1, len(labels) + 2)]
     if len(names) != len(labels) + 1:
         raise CoxeterError("need one more name than labels")
-    return system_from_edges(names, zip(names, names[1:], labels), label=label)
-
-
-def type_A(n: int) -> CoxeterSystem:
-    if n < 1:
-        raise CoxeterError("A_n needs n >= 1")
-    return linear([3] * (n - 1), label=f"A{n}")
-
-
-def type_B(n: int) -> CoxeterSystem:
-    if n < 2:
-        raise CoxeterError("B_n needs n >= 2")
-    return linear([3] * (n - 2) + [4], label=f"B{n}")
+    return CoxeterSystem(tuple(names), {(i, i + 1): m for i, m in enumerate(labels)}, label=label)
 
 
 def _chain_with_leg(n: int, leg: int, label: str, tail=3, leg_label=3) -> CoxeterSystem:
     """s0..s_{n-1} as the chain s1..s_{n-1}, labelled 3 but for a final ``tail``,
     with s0 joined to s_leg by ``leg_label`` when s_leg exists."""
-    names = tuple(f"s{i}" for i in range(n))
-    edges = [(f"s{i}", f"s{i+1}", 3 if i < n - 2 else tail) for i in range(1, n - 1)]
+    labels = ([3] * (n - 2) + [tail])[1:]  # n - 2 labels; none for n <= 2
+    pairs = {(i, i + 1): m for i, m in enumerate(labels, 1)}
     if leg < n:
-        edges.append(("s0", f"s{leg}", leg_label))
-    return system_from_edges(names, edges, label=label)
+        pairs[0, leg] = leg_label
+    return CoxeterSystem(tuple(f"s{i}" for i in range(n)), pairs, label=label)
 
 
-def type_D(n: int) -> CoxeterSystem:
-    """Chain s1..s_{n-1} plus s0 attached to s2; D_2 is two commuting nodes."""
-    if n < 2:
-        raise CoxeterError("D_n needs n >= 2")
-    return _chain_with_leg(n, 2, f"D{n}")
+# family: (least rank, label of the chain's last edge, the node s0 joins or
+# None for the plain chain s1..s_n).  E_3 = A_2 + A_1 (s0 isolated),
+# E_4 = A_4, E_5 = D_5, and E_9 is the affine extension of E_8 (its Gram
+# determinant vanishes); D_2 is two commuting nodes; BD_{l+1} is the affine
+# group usually written as a tilde over B_l.
+_FAMILIES = {
+    "A": (1, 3, None),
+    "B": (2, 4, None),
+    "D": (2, 3, 2),
+    "E": (3, 3, 3),
+    "BE": (5, 4, 3),
+    "BD": (4, 4, 2),
+}
+
+# label: (names in chain order, edge labels, the standard short generators)
+_SMALL = {
+    "L4-3-4-4": (("s1", "s2", "s3", "s0"), (3, 4, 4), {"s3"}),
+    "L3-4-4": (("s1", "s2", "s0"), (4, 4), {"s2"}),
+    "L3-4-INF": (("s1", "s2", "s0*"), (4, INF), {"s2", "s0*"}),
+    "I2-INF": (("s1", "s1*"), (INF,), {"s1", "s1*"}),
+}
 
 
-def type_E(n: int) -> CoxeterSystem:
-    """Chain s1..s_{n-1} plus s0 attached to s3.
-
-    E_3 = A_2 + A_1 (s0 isolated), E_4 = A_4, E_5 = D_5, and E_9 is the
-    affine extension of E_8 (its Gram determinant vanishes).
-    """
-    if n < 3:
-        raise CoxeterError("E_n needs n >= 3")
-    return _chain_with_leg(n, 3, f"E{n}")
-
-
-def type_BE(n: int) -> CoxeterSystem:
-    """Rank n >= 5: chain s1..s_{n-1} with final label 4, s0 attached to s3."""
-    if n < 5:
-        raise CoxeterError("BE_n needs n >= 5")
-    return _chain_with_leg(n, 3, f"BE{n}", tail=4)
+def family(name: str, n: int) -> CoxeterSystem:
+    """The rank n member of family A, B, D, E, BE or BD, labelled e.g. "BE7"."""
+    least, tail, leg = _FAMILIES[name]
+    if n < least:
+        raise CoxeterError(f"{name}_n needs n >= {least}")
+    if leg is None:
+        return linear(([3] * (n - 1) + [tail])[1:], label=f"{name}{n}")
+    return _chain_with_leg(n, leg, f"{name}{n}", tail=tail)
 
 
-def type_BD(n: int) -> CoxeterSystem:
-    """Rank n >= 4: chain s1..s_{n-1} with final label 4, s0 attached to s2.
-
-    BD_{l+1} is the affine group usually written as a tilde over B_l.
-    """
-    if n < 4:
-        raise CoxeterError("BD_n needs n >= 4")
-    return _chain_with_leg(n, 2, f"BD{n}", tail=4)
-
-
-def L4_344() -> CoxeterSystem:
-    return linear((3, 4, 4), names=("s1", "s2", "s3", "s0"), label="L4-3-4-4")
-
-
-def L3_44() -> CoxeterSystem:
-    return linear((4, 4), names=("s1", "s2", "s0"), label="L3-4-4")
-
-
-def L3_4inf() -> CoxeterSystem:
-    return linear((4, INF), names=("s1", "s2", "s0*"), label="L3-4-INF")
-
-
-def I2_inf() -> CoxeterSystem:
-    return linear((INF,), names=("s1", "s1*"), label="I2-INF")
+def _small(label: str) -> CoxeterSystem:
+    names, labels, _ = _SMALL[label]
+    return linear(labels, names=names, label=label)
 
 
 def from_name(name: str) -> CoxeterSystem:
@@ -253,20 +210,19 @@ def from_name(name: str) -> CoxeterSystem:
     if not text:
         raise CoxeterError("empty Coxeter system name")
     if text.upper() in ("I2-INF", "I2(INF)"):
-        return I2_inf()
+        return _small("I2-INF")
     head = text[:2].upper()
     if head in ("BE", "BD"):
         try:
             n = int(text[2:])
         except ValueError:
             raise CoxeterError(f"cannot parse rank in {name!r}") from None
-        return type_BE(n) if head == "BE" else type_BD(n)
+        return family(head, n)
     if text[0].upper() in "ABDE" and text[1:].isdigit():
         n = int(text[1:])
-        builder = {"A": type_A, "B": type_B, "D": type_D, "E": type_E}[text[0].upper()]
         if text[0].upper() == "E" and not 3 <= n <= 9:
             raise CoxeterError("E_n is supported for n = 3..9")
-        return builder(n)
+        return family(text[0].upper(), n)
     if text[0].upper() == "L":
         bits = text[1:].split("-")
         try:
@@ -279,9 +235,8 @@ def from_name(name: str) -> CoxeterSystem:
         labels = [int(b) if b.isdigit() else INF for b in bits[1:]]
         if len(labels) != k - 1:
             raise CoxeterError(f"L{k} needs {k-1} labels, got {len(labels)}")
-        chain = linear(labels)
-        named = (L4_344(), L3_44(), L3_4inf())
-        return next((s for s in named if (s.rank, s.pairs) == (k, chain.pairs)), chain)
+        small = f"L{k}-" + "-".join("INF" if m is INF else str(m) for m in labels)
+        return _small(small) if small in _SMALL else linear(labels)
     raise CoxeterError(f"unknown Coxeter system name {name!r}")
 
 
@@ -512,10 +467,8 @@ def standard_crystal(name: str) -> CrystallographicStructure:
     edges flip parts.
     """
     upper = name.strip().upper()
-    splits = {
-        "L4-3-4-4": {"s3"}, "L3-4-4": {"s2"}, "L3-4-INF": {"s2", "s0*"}, "I2-INF": {"s1", "s1*"}
-    }
-    if upper[:2] not in ("BE", "BD") and upper not in splits:
+    if upper[:2] not in ("BE", "BD") and upper not in _SMALL:
         raise CoxeterError(f"no standard crystallographic structure for {name!r}")
     system = from_name(name)
-    return CrystallographicStructure(system, frozenset(splits.get(upper, {system.names[-1]})))
+    short = _SMALL[upper][2] if upper in _SMALL else {system.names[-1]}
+    return CrystallographicStructure(system, frozenset(short))

@@ -189,7 +189,7 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     s_{4-h}, the last slot of s0's root (s3 rational, s2 ruled).  Past the
     leg this is BE_{l+1} resp. BD_{l+1}; at l = 4 - h the leg lands on the
     twist across a 4, the chain 3-4-4 resp. 4-4, kept in the generator
-    order s0..s_l, which coxeter.L4_344 and coxeter.L3_44 do not.
+    order s0..s_l, which coxeter's named L4-3-4-4 and L3-4-4 do not.
     """
     from . import coxeter
 
@@ -197,7 +197,7 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     if l < leg:
         raise LatticeError(f"no presentation below {leg} blowups in the {model.kind.value} model")
     if l > leg:
-        return (coxeter.type_BE if leg == 3 else coxeter.type_BD)(l + 1)
+        return coxeter.family("BE" if leg == 3 else "BD", l + 1)
     label = "L4-3-4-4" if leg == 3 else "L3-4-4"
     return coxeter._chain_with_leg(l + 1, leg, label, tail=4, leg_label=4)
 

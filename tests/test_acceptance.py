@@ -15,16 +15,11 @@ from test_catalog import random_o12_word
 from ruled_lattice import coxeter
 from ruled_lattice.catalog import decompose_O12, evaluate_o12_word
 from ruled_lattice.coxeter import (
-    I2_inf,
-    L3_4inf,
-    L4_344,
     crystallographic_lattice_invariance,
+    from_name,
     gram_determinant,
     is_finite_type,
     standard_crystal,
-    type_BD,
-    type_BE,
-    type_E,
     verify_crystallographic,
 )
 from ruled_lattice.lattice import (
@@ -86,9 +81,9 @@ def test_criterion_1_presentations():
 def test_criterion_2_crystallographic_rewrites():
     with criterion(2, "integer rewrites", 1.0):
         systems = (
-            [type_BE(n) for n in range(5, 12)]
-            + [type_BD(n) for n in range(4, 12)]
-            + [L4_344(), L3_4inf()]
+            [coxeter.family("BE", n) for n in range(5, 12)]
+            + [coxeter.family("BD", n) for n in range(4, 12)]
+            + [from_name("L4-3-4-4"), from_name("L3-4-INF")]
         )
         for sys_ in systems:
             struct = standard_crystal(sys_.label)
@@ -101,13 +96,13 @@ def test_criterion_2_crystallographic_rewrites():
 def test_criterion_3_finiteness_dichotomy():
     with criterion(3, "finiteness dichotomy", 1.0):
         for n in range(3, 9):
-            assert is_finite_type(type_E(n)), f"E{n}"
-        assert not is_finite_type(type_E(9))
-        assert gram_determinant(type_E(9)) == 0
+            assert is_finite_type(coxeter.family("E", n)), f"E{n}"
+        assert not is_finite_type(coxeter.family("E", 9))
+        assert gram_determinant(coxeter.family("E", 9)) == 0
         for n in range(4, 12):
-            assert not is_finite_type(type_BD(n)), f"BD{n}"
-        assert not is_finite_type(I2_inf())
-        assert not is_finite_type(L3_4inf())
+            assert not is_finite_type(coxeter.family("BD", n)), f"BD{n}"
+        assert not is_finite_type(from_name("I2-INF"))
+        assert not is_finite_type(from_name("L3-4-INF"))
 
 
 def _dominant(v):

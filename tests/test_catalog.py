@@ -57,7 +57,7 @@ def test_node_json_shapes():
     assert data["kind"] == "semidirect"
     assert data["normal"] == {"kind": "direct_sum", "parts": [Cyclic(2).to_json_dict()] * 2}
     assert data["acting"] == {"kind": "cyclic", "order": 2}
-    system = coxeter.L3_4inf()
+    system = coxeter.from_name("L3-4-INF")
     assert CoxeterGroup(system).to_json_dict() == {
         "kind": "coxeter",
         "system": system.to_json_dict(),

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
@@ -13,31 +14,167 @@ from ruled_lattice.coxeter import (
     CoxeterError,
     CoxeterSystem,
     CrystallographicStructure,
-    I2_inf,
-    L3_4inf,
-    L3_44,
-    L4_344,
     component_types,
     crystallographic_lattice_invariance,
+    family,
     from_name,
     gram_determinant,
     is_finite_type,
     linear,
     standard_crystal,
-    system_from_edges,
-    type_A,
-    type_B,
-    type_BD,
-    type_BE,
-    type_D,
-    type_E,
     verify_crystallographic,
 )
-from ruled_lattice.base import InternalConsistencyError
+from ruled_lattice.base import InternalConsistencyError, LatticeError
 from ruled_lattice.lattice import rational_model, ruled_model
 from ruled_lattice.qsqrt2 import ONE, ZERO, QSqrt2
 from ruled_lattice.weyl import expected_coxeter_system
 from fractions import Fraction
+
+SMALL_NAMES = ("L4-3-4-4", "L3-4-4", "L3-4-INF", "I2-INF")
+
+
+# ---------------------------------------------------------------------------
+# the name-keyed reference builders: every named graph spelled edge by edge
+# on its generator names, apart from the family and small-system tables
+
+
+def system_from_edges(
+    names: Sequence[str],
+    edges: Iterable[tuple[str, str, object]],
+    label: Optional[str] = None,
+) -> CoxeterSystem:
+    """Build a system from its graph; unlisted pairs commute (order 2)."""
+    names = tuple(names)
+    slots = coxeter._slots(names)
+    pairs = {}
+    for a, b, order in edges:
+        try:
+            i, j = slots[a], slots[b]
+        except KeyError as exc:
+            raise CoxeterError(f"edge endpoint {exc.args[0]!r} is not a generator") from None
+        pairs[min(i, j), max(i, j)] = order
+    return CoxeterSystem(names, pairs, label=label)
+
+
+def _ref_linear(labels, names=None, label=None) -> CoxeterSystem:
+    if names is None:
+        names = [f"s{i}" for i in range(1, len(labels) + 2)]
+    return system_from_edges(names, zip(names, names[1:], labels), label=label)
+
+
+def _ref_chain_with_leg(n, leg, label, tail=3, leg_label=3) -> CoxeterSystem:
+    names = tuple(f"s{i}" for i in range(n))
+    edges = [(f"s{i}", f"s{i+1}", 3 if i < n - 2 else tail) for i in range(1, n - 1)]
+    if leg < n:
+        edges.append(("s0", f"s{leg}", leg_label))
+    return system_from_edges(names, edges, label=label)
+
+
+def _ref_A(n: int) -> CoxeterSystem:
+    if n < 1:
+        raise CoxeterError("A_n needs n >= 1")
+    return _ref_linear([3] * (n - 1), label=f"A{n}")
+
+
+def _ref_B(n: int) -> CoxeterSystem:
+    if n < 2:
+        raise CoxeterError("B_n needs n >= 2")
+    return _ref_linear([3] * (n - 2) + [4], label=f"B{n}")
+
+
+def _ref_D(n: int) -> CoxeterSystem:
+    if n < 2:
+        raise CoxeterError("D_n needs n >= 2")
+    return _ref_chain_with_leg(n, 2, f"D{n}")
+
+
+def _ref_E(n: int) -> CoxeterSystem:
+    if n < 3:
+        raise CoxeterError("E_n needs n >= 3")
+    return _ref_chain_with_leg(n, 3, f"E{n}")
+
+
+def _ref_BE(n: int) -> CoxeterSystem:
+    if n < 5:
+        raise CoxeterError("BE_n needs n >= 5")
+    return _ref_chain_with_leg(n, 3, f"BE{n}", tail=4)
+
+
+def _ref_BD(n: int) -> CoxeterSystem:
+    if n < 4:
+        raise CoxeterError("BD_n needs n >= 4")
+    return _ref_chain_with_leg(n, 2, f"BD{n}", tail=4)
+
+
+# family: (reference builder, least rank, largest rank checked)
+_REF_FAMILIES = {
+    "A": (_ref_A, 1, 40),
+    "B": (_ref_B, 2, 40),
+    "D": (_ref_D, 2, 40),
+    "E": (_ref_E, 3, 9),
+    "BE": (_ref_BE, 5, 40),
+    "BD": (_ref_BD, 4, 40),
+}
+
+# label: (reference system, its standard short generators)
+_REF_SMALL = {
+    "L4-3-4-4": (_ref_linear((3, 4, 4), ("s1", "s2", "s3", "s0"), "L4-3-4-4"), {"s3"}),
+    "L3-4-4": (_ref_linear((4, 4), ("s1", "s2", "s0"), "L3-4-4"), {"s2"}),
+    "L3-4-INF": (_ref_linear((4, INF), ("s1", "s2", "s0*"), "L3-4-INF"), {"s2", "s0*"}),
+    "I2-INF": (_ref_linear((INF,), ("s1", "s1*"), "I2-INF"), {"s1", "s1*"}),
+}
+
+
+def _outcome(build):
+    """The JSON of the system ``build()`` returns, or its error's text."""
+    try:
+        return build().to_json_dict()
+    except (CoxeterError, LatticeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_named_systems_match_the_name_keyed_builders():
+    for head, (ref, least, top) in _REF_FAMILIES.items():
+        for n in range(least - 1, top + 1):
+            expected = _outcome(lambda: ref(n))
+            assert _outcome(lambda: family(head, n)) == expected, (head, n)
+            if n >= least or head != "E":  # E2 gets from_name's range text
+                assert _outcome(lambda: from_name(f"{head}{n}")) == expected, (head, n)
+            assert (n >= least) == isinstance(expected, dict)
+    for name, (ref, _) in _REF_SMALL.items():
+        assert _outcome(lambda: from_name(name)) == ref.to_json_dict(), name
+    for bad, text in [
+        ("E2", "E_n is supported for n = 3..9"),
+        ("E10", "E_n is supported for n = 3..9"),
+        ("", "empty Coxeter system name"),
+        ("X9", "unknown Coxeter system name 'X9'"),
+    ]:
+        assert _outcome(lambda: from_name(bad)) == f"CoxeterError: {text}"
+
+
+def test_standard_crystal_matches_the_name_keyed_builders():
+    cases = [(f"BE{n}", _ref_BE(n), None) for n in range(5, 41)]
+    cases += [(f"BD{n}", _ref_BD(n), None) for n in range(4, 41)]
+    cases += [(name, ref, short) for name, (ref, short) in _REF_SMALL.items()]
+    for name, ref, short in cases:
+        expected = CrystallographicStructure(ref, frozenset(short or {ref.names[-1]}))
+        assert standard_crystal(name).to_json_dict() == expected.to_json_dict(), name
+
+
+def test_expected_coxeter_system_matches_the_name_keyed_builders():
+    for model, leg, ref, small in [
+        (rational_model, 3, _ref_BE, "L4-3-4-4"),
+        (ruled_model, 2, _ref_BD, "L3-4-4"),
+    ]:
+        for l in range(61):
+            if l < leg:
+                kind = model(l).kind.value
+                expected = f"LatticeError: no presentation below {leg} blowups in the {kind} model"
+            elif l == leg:  # the small chain, kept in the generator order s0..s_l
+                expected = _ref_chain_with_leg(l + 1, leg, small, 4, 4).to_json_dict()
+            else:
+                expected = ref(l + 1).to_json_dict()
+            assert _outcome(lambda: expected_coxeter_system(model(l))) == expected, (small, l)
 
 
 def test_infinity_is_a_singleton():
@@ -55,6 +192,11 @@ def test_system_validation():
         system_from_edges(("a", "a"), [])
     with pytest.raises(CoxeterError):
         linear((3, 3), names=("x",))
+    # linear passes index pairs straight to CoxeterSystem, which checks them
+    with pytest.raises(CoxeterError, match="unsupported pair order 5 between s1 and s2"):
+        linear((5,))
+    with pytest.raises(CoxeterError, match="generator names must be distinct"):
+        linear((3,), names=("x", "x"))
 
 
 def test_named_ranks_and_labels():
@@ -77,7 +219,7 @@ def test_named_ranks_and_labels():
         assert system.label is not None
     assert from_name("E6").label == "E6"
     assert from_name("L3-4-inf").label == "L3-4-INF"
-    assert from_name("I2-inf") == I2_inf()
+    assert from_name("I2-inf") == _REF_SMALL["I2-INF"][0]
 
 
 def _drawn(n: int, edges) -> list:
@@ -97,16 +239,16 @@ def _pinned_graphs():
     """Every drawn graph as (system, edge list and label from its docstring)."""
     for n in range(2, 17):
         # D_n: chain s1..s_{n-1} plus s0 on s2; D_2 is two commuting nodes
-        yield type_D(n), _chain(n) + ([(0, 2, 3)] if n >= 3 else []), f"D{n}"
+        yield family("D", n), _chain(n) + ([(0, 2, 3)] if n >= 3 else []), f"D{n}"
     for n in range(3, 10):
         # E_n: chain s1..s_{n-1} plus s0 on s3; s0 is isolated in E_3
-        yield type_E(n), _chain(n) + ([(0, 3, 3)] if n >= 4 else []), f"E{n}"
+        yield family("E", n), _chain(n) + ([(0, 3, 3)] if n >= 4 else []), f"E{n}"
     for n in range(5, 17):
         # BE_n: chain with final label 4, s0 on s3
-        yield type_BE(n), _chain(n, 4) + [(0, 3, 3)], f"BE{n}"
+        yield family("BE", n), _chain(n, 4) + [(0, 3, 3)], f"BE{n}"
     for n in range(4, 17):
         # BD_n: chain with final label 4, s0 on s2
-        yield type_BD(n), _chain(n, 4) + [(0, 2, 3)], f"BD{n}"
+        yield family("BD", n), _chain(n, 4) + [(0, 2, 3)], f"BD{n}"
     # rational l >= 4 gives BE_{l+1}; l = 3 is the chain s1-s2=s3=s0
     edges = [(1, 2, 3), (2, 3, 4), (0, 3, 4)]
     yield expected_coxeter_system(rational_model(3)), edges, "L4-3-4-4"
@@ -127,16 +269,16 @@ def test_edge_fixtures():
         assert system.to_json_dict()["matrix"] == _drawn(n, edges), label
         assert system.edges() == sorted(edges), label
         assert system.label == label
-    be5 = type_BE(5)
+    be5 = family("BE", 5)
     # chain s1-s2-s3=s4 with s0 hanging off s3
     assert be5.order("s3", "s4") == 4
     assert be5.order("s0", "s3") == 3
     assert be5.order("s0", "s4") == 2
     assert be5.order("s1", "s2") == 3
-    l34i = L3_4inf()
+    l34i = from_name("L3-4-INF")
     assert l34i.order("s2", "s0*") is INF
     assert l34i.order("s1", "s2") == 4
-    assert I2_inf().order("s1", "s1*") is INF
+    assert from_name("I2-INF").order("s1", "s1*") is INF
 
 
 def test_from_name_rejects_junk():
@@ -146,7 +288,8 @@ def test_from_name_rejects_junk():
 
 
 def test_json_round_trip_keeps_infinite_labels():
-    for system in (type_E(7), L3_4inf(), I2_inf(), linear((3, INF, 4))):
+    systems = (family("E", 7), from_name("L3-4-INF"), from_name("I2-INF"), linear((3, INF, 4)))
+    for system in systems:
         back = CoxeterSystem.from_json_dict(system.to_json_dict())
         assert back == system
         assert back.label == system.label
@@ -187,36 +330,36 @@ def test_json_reader_checks_every_entry(matrix, message):
 
 def test_finiteness_dichotomy():
     for n in range(3, 9):
-        assert is_finite_type(type_E(n)), f"E{n} should be finite"
-    assert not is_finite_type(type_E(9))
+        assert is_finite_type(family("E", n)), f"E{n} should be finite"
+    assert not is_finite_type(family("E", 9))
     for n in range(5, 12):
-        assert not is_finite_type(type_BE(n)), f"BE{n} should be infinite"
+        assert not is_finite_type(family("BE", n)), f"BE{n} should be infinite"
     for n in range(4, 12):
-        assert not is_finite_type(type_BD(n)), f"BD{n} should be infinite"
-    for system in (L4_344(), L3_44(), L3_4inf(), I2_inf()):
-        assert not is_finite_type(system)
-    for system in (type_A(1), type_A(6), type_B(4), type_D(7)):
+        assert not is_finite_type(family("BD", n)), f"BD{n} should be infinite"
+    for name in SMALL_NAMES:
+        assert not is_finite_type(from_name(name))
+    for system in (family("A", 1), family("A", 6), family("B", 4), family("D", 7)):
         assert is_finite_type(system)
 
 
 def test_component_types_of_the_named_systems():
     for n in range(1, 41):
-        assert component_types(type_A(n)) == (f"A{n}",)
+        assert component_types(family("A", n)) == (f"A{n}",)
     for n in range(2, 41):
-        assert component_types(type_B(n)) == (f"B{n}",)
+        assert component_types(family("B", n)) == (f"B{n}",)
     for n in range(4, 41):
-        assert component_types(type_D(n)) == (f"D{n}",)
+        assert component_types(family("D", n)) == (f"D{n}",)
     for n in range(6, 9):
-        assert component_types(type_E(n)) == (f"E{n}",)
+        assert component_types(family("E", n)) == (f"E{n}",)
     assert component_types(from_name("L4-3-4-3")) == ("F4",)
     # the small D and E graphs are other types, or split
-    assert component_types(type_D(2)) == ("A1", "A1")
-    assert component_types(type_D(3)) == ("A3",)
-    assert component_types(type_E(3)) == ("A2", "A1")
-    assert component_types(type_E(4)) == ("A4",)
-    assert component_types(type_E(5)) == ("D5",)
-    infinite = [type_E(9), L4_344(), L3_44(), L3_4inf(), I2_inf()]
-    infinite += [type_BE(n) for n in range(5, 41)] + [type_BD(n) for n in range(4, 41)]
+    assert component_types(family("D", 2)) == ("A1", "A1")
+    assert component_types(family("D", 3)) == ("A3",)
+    assert component_types(family("E", 3)) == ("A2", "A1")
+    assert component_types(family("E", 4)) == ("A4",)
+    assert component_types(family("E", 5)) == ("D5",)
+    infinite = [family("E", 9)] + [from_name(name) for name in SMALL_NAMES]
+    infinite += [family("BE", n) for n in range(5, 41)] + [family("BD", n) for n in range(4, 41)]
     # a 4 inside a path past F4, two 4s, F4 extended
     infinite += [from_name(n) for n in ("L5-3-4-3-3", "L4-4-3-4", "L5-3-3-4-3")]
     names = ("a", "b", "c", "d", "e")
@@ -272,20 +415,20 @@ def test_component_types_match_the_gram_determinant_on_random_forests():
 def test_component_types_refuse_a_disagreeing_elimination(monkeypatch):
     real = coxeter._definite
     monkeypatch.setattr(coxeter, "_definite", lambda s: not real(s))
-    for system in (type_E(8), type_E(9), type_A(1)):
+    for system in (family("E", 8), family("E", 9), family("A", 1)):
         with pytest.raises(InternalConsistencyError, match="disagree"):
             is_finite_type(system)
 
 
 def test_gram_determinant_values():
-    assert gram_determinant(type_A(1)) == ONE
-    assert gram_determinant(type_A(2)) == QSqrt2(Fraction(3, 4))
+    assert gram_determinant(family("A", 1)) == ONE
+    assert gram_determinant(family("A", 2)) == QSqrt2(Fraction(3, 4))
     # affine systems are exactly degenerate
-    assert gram_determinant(type_E(9)) == ZERO
-    assert gram_determinant(type_BD(5)) == ZERO
-    assert gram_determinant(L3_44()) == ZERO
+    assert gram_determinant(family("E", 9)) == ZERO
+    assert gram_determinant(family("BD", 5)) == ZERO
+    assert gram_determinant(from_name("L3-4-4")) == ZERO
     # E8: det(Cartan)/2^8
-    assert gram_determinant(type_E(8)) == QSqrt2(Fraction(1, 256))
+    assert gram_determinant(family("E", 8)) == QSqrt2(Fraction(1, 256))
 
 
 _COS = {2: ZERO, 3: QSqrt2(Fraction(1, 2)), 4: QSqrt2(0, Fraction(1, 2)), INF: ONE}
@@ -341,12 +484,12 @@ def _random_graphs(count: int, seed: int = 16):
 
 
 def test_sparse_elimination_matches_the_dense_reference():
-    systems = [type_A(n) for n in range(1, 12)] + [type_B(n) for n in range(2, 12)]
-    systems += [type_D(n) for n in range(2, 12)] + [type_E(n) for n in range(3, 10)]
-    systems += [type_BE(n) for n in range(5, 41)] + [type_BD(n) for n in range(4, 41)]
+    systems = [family("A", n) for n in range(1, 12)] + [family("B", n) for n in range(2, 12)]
+    systems += [family("D", n) for n in range(2, 12)] + [family("E", n) for n in range(3, 10)]
+    systems += [family("BE", n) for n in range(5, 41)] + [family("BD", n) for n in range(4, 41)]
     systems += [expected_coxeter_system(rational_model(l)) for l in range(3, 41)]
     systems += [expected_coxeter_system(ruled_model(l)) for l in range(2, 41)]
-    systems += [L4_344(), L3_44(), L3_4inf(), I2_inf()]
+    systems += [from_name(name) for name in SMALL_NAMES]
     randoms = list(_random_graphs(400))
     # the random graphs reach every branch: cycles, swaps, zero columns
     assert any(len(s.edges()) >= s.rank for s in randoms)
@@ -361,7 +504,7 @@ def test_elimination_is_linear_along_a_tree():
     # the dense Gram of BE1500 alone holds 2.25 million entries; the sparse
     # rows of the tree hold about 4500 and never fill in
     start = time.perf_counter()
-    system = type_BE(1500)
+    system = family("BE", 1500)
     assert not is_finite_type(system)
     assert gram_determinant(system) == QSqrt2(Fraction(-1, 2**1499))
     assert time.perf_counter() - start < 1.0
@@ -450,12 +593,12 @@ def _product_order(system, a: str, b: str, cap: int = 64):
 
 
 def test_product_orders_match_graph_labels():
-    be5 = type_BE(5)
+    be5 = family("BE", 5)
     assert _product_order(be5, "s1", "s1") == 1
     assert _product_order(be5, "s1", "s2") == 3
     assert _product_order(be5, "s3", "s4") == 4
     assert _product_order(be5, "s0", "s4") == 2
-    assert _product_order(I2_inf(), "s1", "s1*") is None
+    assert _product_order(from_name("I2-INF"), "s1", "s1*") is None
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +715,11 @@ def test_crystal_matrix_route_is_linear_in_the_edges(monkeypatch):
 
 def test_all_long_is_fine_when_simply_laced():
     # rescaling everything by sqrt2 changes nothing structurally
-    struct = CrystallographicStructure(type_E(6), frozenset())
+    struct = CrystallographicStructure(family("E", 6), frozenset())
     assert verify_crystallographic(struct).ok
     assert crystallographic_lattice_invariance(struct).ok
 
 
 def test_split_rejects_unknown_names():
     with pytest.raises(CoxeterError):
-        CrystallographicStructure(type_A(3), frozenset({"nope"}))
+        CrystallographicStructure(family("A", 3), frozenset({"nope"}))

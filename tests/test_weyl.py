@@ -949,10 +949,12 @@ def test_lagrangian_system_refuses_vectors_outside_the_cone(p):
         reduce_periods(p)
 
 
-def test_lagrangian_system_pairs_members_through_their_root_actions(monkeypatch):
-    # the dense pairing of rank-(l+1) classes made l = 1000 take about 30 s;
-    # members pair through their sparse dual parts instead (weyl no longer
-    # imports pairing, hence raising=False)
+def test_lagrangian_system_member_graph_matches_the_dense_pairing(monkeypatch):
+    # the member graph, read off the presentation graph, against the dense
+    # pairing of the member classes, up to l = 40 (an A39).  The dense
+    # pairing of rank-(l+1) classes made l = 1000 take about 30 s, so
+    # lagrangian_system must not call it (weyl no longer imports pairing,
+    # hence raising=False)
     def unused(*args):
         raise AssertionError("lagrangian_system called the dense pairing")
 

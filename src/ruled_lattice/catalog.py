@@ -18,7 +18,7 @@ from functools import cache
 from typing import Union
 
 from . import coxeter, lattice, weyl
-from .base import SMALL_CASE_LABELS, Record
+from .base import SMALL_CASE_LABELS, InternalConsistencyError, Record
 from .coxeter import CoxeterSystem
 from .lattice import Kind, LatticeAutomorphism, LatticeError, ManifoldModel, rational_model
 from .weyl import GeneratorSet, GroupWord, expected_coxeter_system
@@ -365,6 +365,7 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
     fixes L and a table lookup over the eight signed permutations finishes
     the word.  A descent longer than ``weyl.WORD_LETTER_CAP`` letters raises
     CatalogError: its length grows with the entries, not with their digits.
+    Past validation, any other failure is a bug: InternalConsistencyError.
     """
     model = o12_model()
     if m.model != model:
@@ -393,7 +394,7 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         if l == 1:
             break
         if l < 1:
-            raise CatalogError("descent lost the cone; input was invalid")
+            raise InternalConsistencyError("descent lost the cone")
         if c1 > 0:
             push(neg_e1)
         if c2 > 0:
@@ -403,11 +404,11 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         before = cols[0][0]
         push(("s0*",))
         if cols[0][0] >= before:
-            raise CatalogError("descent failed to decrease l; input was invalid")
+            raise InternalConsistencyError("descent failed to decrease l")
 
     residual = _o12_residual_table().get(cols)
     if residual is None:
-        raise CatalogError("residual automorphism is not a signed permutation")
+        raise InternalConsistencyError("residual automorphism is not a signed permutation")
     return GroupWord(tuple(residual) + tuple(reversed(descent)))
 
 

@@ -218,7 +218,7 @@ def from_name(name: str) -> CoxeterSystem:
         except ValueError:
             raise CoxeterError(f"cannot parse rank in {name!r}") from None
         return family(head, n)
-    if text[0].upper() in "ABDE" and text[1:].isdigit():
+    if text[0].upper() in "ABDE" and text[1:].isdecimal():
         n = int(text[1:])
         if text[0].upper() == "E" and not 3 <= n <= 9:
             raise CoxeterError("E_n is supported for n = 3..9")
@@ -229,10 +229,10 @@ def from_name(name: str) -> CoxeterSystem:
             k = int(bits[0])
         except ValueError:
             raise CoxeterError(f"cannot parse rank in {name!r}") from None
-        bad = [b for b in bits[1:] if not b.isdigit() and b.lower() not in ("inf", "oo")]
+        bad = [b for b in bits[1:] if not b.isdecimal() and b.lower() not in ("inf", "oo")]
         if bad:
             raise CoxeterError(f"bad edge label {bad[0]!r} in {name!r}")
-        labels = [int(b) if b.isdigit() else INF for b in bits[1:]]
+        labels = [int(b) if b.isdecimal() else INF for b in bits[1:]]
         if len(labels) != k - 1:
             raise CoxeterError(f"L{k} needs {k-1} labels, got {len(labels)}")
         small = f"L{k}-" + "-".join("INF" if m is INF else str(m) for m in labels)

@@ -125,13 +125,6 @@ def _generator(table: dict, name: str):
         raise LatticeError(f"no generator named {name!r}") from None
 
 
-def _require_generators(model: ManifoldModel) -> None:
-    # s0 needs E_1..E_{4-h}: L - E1 - E2 - E3, resp. F - E1 - E2
-    need = 4 - model.head
-    if model.blowups < need:
-        raise LatticeError(f"the {model.kind.value} generator set needs at least {need} blowups")
-
-
 def generator_set(model: ManifoldModel) -> GeneratorSet:
     """The generators s0..s_l as a table of roots, at most 4 pairs each.
 
@@ -139,8 +132,10 @@ def generator_set(model: ManifoldModel) -> GeneratorSet:
     F) and -1 at the exceptional slots h..3, s_i is E_i - E_{i+1}, and the
     twist s_l is E_l: the module docstring's generators, built in O(l).
     """
-    _require_generators(model)
     h, l = model.head, model.blowups
+    # s0 needs E_1..E_{4-h}: L - E1 - E2 - E3, resp. F - E1 - E2
+    if l < 4 - h:
+        raise LatticeError(f"the {model.kind.value} generator set needs at least {4 - h} blowups")
     s0 = ((h - 1, 1), *((j, -1) for j in range(h, 4)))
     swaps = (((j, 1), (j + 1, -1)) for j in range(h, h + l - 1))
     roots = (s0, *swaps, ((h + l - 1, 1),))
@@ -202,7 +197,7 @@ def expected_coxeter_system(model: ManifoldModel) -> CoxeterSystem:
     return coxeter._chain_with_leg(l + 1, leg, label, tail=4, leg_label=4)
 
 
-def _product_order(first: RootAction, then: RootAction, cap: int) -> Optional[int]:
+def _product_order(first: RootAction, then: RootAction, cap: int = 16) -> Optional[int]:
     """Order of ``then`` after ``first`` on the lattice; None when above ``cap``.
 
     The order is the lcm of the periods of the basis vectors, each followed
@@ -271,7 +266,7 @@ class PresentationReport(Record):
         }
 
 
-def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport:
+def verify_presentation(gens: GeneratorSet) -> PresentationReport:
     """Check every pairwise product order on H_2 against the asserted graph.
 
     The orders are computed exactly, on the integer lattice, from the sparse
@@ -282,7 +277,7 @@ def verify_presentation(gens: GeneratorSet, cap: int = 16) -> PresentationReport
     entries = []
     for i, a in enumerate(gens.names):
         for b in gens.names[i + 1 :]:
-            computed = _product_order(gens.root_action(b), gens.root_action(a), cap)
+            computed = _product_order(gens.root_action(b), gens.root_action(a))
             entries.append(PresentationEntry(a, b, expected.order(a, b), computed))
     return PresentationReport(gens.model, tuple(entries), expected)
 
@@ -492,8 +487,8 @@ class PeriodVector(Record):
 
     def _pair_roots(self, roots: Iterable[Sparse]) -> tuple[int, ...]:
         """``coeffs`` paired with each root, on the root's slots."""
-        c = self.coeffs
-        return tuple(sum(c[j] * g for j, g in _dual(self.model.head, r)) for r in roots)
+        c, h = self.coeffs, self.model.head
+        return tuple(sum(c[j] * g for j, g in _dual(h, r)) for r in roots)
 
     def satisfies_period_conditions(self) -> bool:
         return min(self.wall_periods()) >= 0
@@ -597,23 +592,23 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     bubble-sort the exceptional slots (c[j] > c[j+1] means mu_i < mu_{i+1}),
     the twist s_l negates a positive last slot, and s0 adds its negative
     period times s0 to ``c``.  These closed forms are the walls' one copy
-    outside ``generator_set``; the closing ``wall_periods()`` check holds
-    them to the table's roots.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is
-    the only step that depends on the model.  The head period that s0
-    strictly decreases (line resp. section) is a positive integer
-    throughout, which bounds the number of wall crossings.
+    outside ``generator_set``, whose one table names the letters and checks
+    the result.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is the only step
+    that depends on the model.  The head period that s0 strictly decreases
+    (line resp. section) is a positive integer throughout, which bounds the
+    number of wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
     vector are reported in ``boundary_flags``.  A word longer than
     ``WORD_LETTER_CAP`` letters raises LatticeError.
     """
-    _require_generators(p.model)
+    gens = generator_set(p.model)  # also the generator-minimum guard
     _require_cone(p)
     h = p.model.head
     c = list(p.coeffs)
     last = len(c) - 1
-    # one name per generator, built once: s_i swaps the slots h+i-1 and h+i
-    names = [f"s{i}" for i in range(p.model.blowups + 1)]
+    # s_i swaps the slots h+i-1 and h+i
+    names = gens.names
     letters: list[str] = []
     while True:
         swapped = True
@@ -637,11 +632,11 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
         c[h - 1] += gap
         for j in range(h, 4):
             c[j] -= gap
-        letters.append("s0")
+        letters.append(names[0])
 
     # the letters are unimodular, so the same denominator keeps lowest terms
     reduced = PeriodVector._trusted(p.model, tuple(c), p.denominator)
-    walls = reduced.wall_periods()
+    walls = reduced._pair_roots(gens.roots)
     if min(walls) < 0:
         raise InternalConsistencyError(f"reduction of {p} missed the domain")
     flags = tuple(name for name, w in zip(names, walls) if w == 0)
@@ -826,15 +821,15 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     simple reflections, so their graph is the presentation's graph on them
     (a parabolic subgroup); its 4-edges all touch the twist.
     """
-    # one generator table gives the wall periods and the member classes
-    roots = generator_set(p.model).roots
-    walls = p._pair_roots(roots)
+    # one generator table gives the wall periods and the member names and classes
+    gens = generator_set(p.model)
+    walls = p._pair_roots(gens.roots)
     if min(walls) < 0:
         raise NotReducedError(f"{p} does not satisfy the period conditions")
     _require_cone(p)
     # the twist s_l, the last wall, is never a member
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
-    names = tuple(f"s{i}" for i in zero)
+    names = tuple(gens.names[i] for i in zero)
     at = {i: k for k, i in enumerate(zero)}
     graph = expected_coxeter_system(p.model).pairs
     pairs = {(at[i], at[j]): m for (i, j), m in graph.items() if i in at and j in at}
@@ -848,7 +843,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
         p.model,
         names,
         # built only because the payload prints them
-        tuple(_sparse_class(p.model, roots[i]) for i in zero),
+        tuple(_sparse_class(p.model, gens.roots[i]) for i in zero),
         system,
         components,
     )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ruled_lattice import catalog, coxeter, weyl
+from ruled_lattice.base import InternalConsistencyError
 from ruled_lattice.catalog import (
     SMALL_CASE_LABELS,
     BlackBox,
@@ -284,6 +285,22 @@ def test_decompose_refuses_a_descent_past_the_letter_cap(monkeypatch):
     assert word.letters == ("s2", "s0*") * 50
     with pytest.raises(CatalogError, match="descent reached more than 100 letters"):
         decompose_O12(_s2_s0star_power(51))
+
+
+def test_decompose_reports_an_impossible_residual_as_internal(capsys, monkeypatch):
+    # a validated input always ends on a signed permutation, so a missing
+    # residual is a bug: exit 3, not a refusal of the input
+    from ruled_lattice.cli import EXIT_INTERNAL, main
+
+    monkeypatch.setattr(catalog, "_o12_residual_table", lambda: {})
+    with pytest.raises(InternalConsistencyError, match="not a signed permutation"):
+        decompose_O12(_s2_s0star_power(2))
+    assert main(["decompose-o12", "--matrix=9,4,8;-4,-1,-4;8,4,7"]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "",
+        "internal consistency failure: residual automorphism is not a signed permutation\n",
+    )
 
 
 def test_evaluate_rejects_unknown_letters():

@@ -287,6 +287,27 @@ def test_from_name_rejects_junk():
             from_name(bad)
 
 
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("A²", "unknown Coxeter system name 'A²'"),
+        ("E³", "unknown Coxeter system name 'E³'"),
+        ("D¹²", "unknown Coxeter system name 'D¹²'"),
+        ("L3-4-²", "bad edge label '²' in 'L3-4-²'"),
+    ],
+)
+def test_from_name_refuses_digits_that_int_cannot_read(capsys, name, message):
+    # superscripts pass str.isdigit but not int(); ranks and labels are
+    # read as decimal digits, so these are refusals, not ValueErrors
+    from ruled_lattice.cli import EXIT_USAGE, main
+
+    with pytest.raises(CoxeterError) as info:
+        from_name(name)
+    assert str(info.value) == message
+    assert main(["coxeter-finite", f"--system={name}"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_json_round_trip_keeps_infinite_labels():
     systems = (family("E", 7), from_name("L3-4-INF"), from_name("I2-INF"), linear((3, INF, 4)))
     for system in systems:

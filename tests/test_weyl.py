@@ -157,13 +157,16 @@ def test_presentation_orders_match_dense_matrix_powers(model):
     # the sparse root-action orders against powers of the dense matrices;
     # caps 3 and 4 sit on the orders that occur, so an off-by-one cap shows
     gens = generator_set(model)
-    for cap in (3, 4, 16):
-        report = verify_presentation(gens, cap)
-        for e in report.entries:
-            product = reflection_along(gens.class_of(e.a)) @ reflection_along(
-                gens.class_of(e.b)
-            )
-            assert e.computed == _dense_order(product, cap), (e.a, e.b, cap)
+    for e in verify_presentation(gens).entries:
+        first, then = gens.root_action(e.b), gens.root_action(e.a)
+        product = reflection_along(gens.class_of(e.a)) @ reflection_along(
+            gens.class_of(e.b)
+        )
+        for cap in (3, 4, 16):
+            computed = weyl._product_order(first, then, cap)
+            assert computed == _dense_order(product, cap), (e.a, e.b, cap)
+        # verify_presentation orders its pairs under the cap of 16
+        assert e.computed == weyl._product_order(first, then), (e.a, e.b)
 
 
 def test_product_order_follows_only_the_support_union(monkeypatch):

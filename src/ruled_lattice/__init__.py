@@ -78,7 +78,6 @@ _EXPORTS = {
         "lagrangian_system",
         "maximal_system_membership",
         "orbit",
-        "periods_json",
         "rational_periods",
         "reduce_class",
         "reduce_periods",

@@ -1,11 +1,12 @@
 """Command-line frontend: one invocation, one computation, text or JSON.
 
 Every subcommand takes --json for a machine-readable payload and --input
-FILE to re-run the "input" object of a previous payload; both paths go
-through the same JSON-shaped input dict, so a re-fed payload reproduces
-the result byte for byte.  Exit codes: 0 success, 1 bad usage or failed
-validation, 2 search found candidates (sw-search only), 3 internal
-consistency failure.
+FILE to re-run the "input" object of a previous payload.  A gather may
+hand the run the library objects it built: --json writes them through
+``to_json_dict`` and --input reads them back through ``from_json_dict``, so
+a re-fed payload reproduces the result byte for byte.  Exit codes: 0
+success, 1 bad usage or failed validation, 2 search found candidates
+(sw-search only), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -192,12 +193,19 @@ def _get_dict(inp: dict, key: str) -> dict:
     return value
 
 
+def _read(inp: dict, key: str, cls):
+    """``inp[key]`` as a ``cls``: a gather's object, or an --input JSON object."""
+    value = _get(inp, key)
+    return value if isinstance(value, cls) else cls.from_json_dict(_get_dict(inp, key))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 class _Outcome(Record):
-    result: dict  # a callable value is called only when JSON is written
+    # a callable is called only when JSON is written, to build the dict
+    result: dict | Callable[[], dict]
     lines: Iterable[str]  # consumed only when text is printed
     code: int = EXIT_OK
 
@@ -215,38 +223,28 @@ class _Command(Record):
 def _run_manifold_info(inp: dict) -> _Outcome:
     from .lattice import _dual
 
-    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    model = _read(inp, "model", ManifoldModel)
     h, n = model.head, model.rank
-    result: dict = {
-        "kind": model.kind.value,
-        "blowups": model.blowups,
-        "genus": model.genus,
-        "rank": n,
-        "basis": list(model.basis_names),
-        # a callable, so only a written JSON payload builds the rank^2 rows;
-        # row i is 0 but at the one pair (k, g) of G e_i
-        "gram": lambda: [
-            [0] * k + [g] + [0] * (n - 1 - k) for i in range(n) for k, g in _dual(h, ((i, 1),))
-        ],
-    }
-    lines = [
-        f"kind:     {model.kind.value}",
-        f"blowups:  {model.blowups}",
-        f"genus:    {model.genus}",
-        f"rank:     {model.rank}",
-        f"basis:    {', '.join(model.basis_names)}",
-    ]
+    fields = {"kind": model.kind.value, "blowups": model.blowups, "genus": model.genus, "rank": n}
+    lines = [f"{key + ':':10}{value}" for key, value in fields.items()]
+    lines.append(f"basis:    {', '.join(model.basis_names)}")
     try:
         gens = generator_set(model)
     except LatticeError as exc:
-        result["generators"] = None
+        generators = None
         lines.append(f"generators: none ({exc})")
     else:
-        result["generators"] = {n: str(gens.class_of(n)) for n in gens.names}
+        generators = {n: str(gens.class_of(n)) for n in gens.names}
         lines.append("generators:")
-        lines.extend(
-            f"  {n}: reflection along {c}" for n, c in result["generators"].items()
-        )
+        lines.extend(f"  {n}: reflection along {c}" for n, c in generators.items())
+
+    def result() -> dict:
+        # the rank^2 rows: row i is 0 but at the one pair (k, g) of G e_i
+        gram = [
+            [0] * k + [g] + [0] * (n - 1 - k) for i in range(n) for k, g in _dual(h, ((i, 1),))
+        ]
+        return {**fields, "basis": list(model.basis_names), "gram": gram, "generators": generators}
+
     return _Outcome(result, tuple(lines))
 
 
@@ -257,7 +255,7 @@ _PAIR_FLAGS = _MODEL_FLAGS + (
 
 
 def _run_pair(inp: dict) -> _Outcome:
-    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    model = _read(inp, "model", ManifoldModel)
     a = HomologyClass(model, tuple(_get_int_list(inp, "a")))
     b = HomologyClass(model, tuple(_get_int_list(inp, "b")))
     ab = pairing(a, b)
@@ -290,7 +288,7 @@ _REFLECT_FLAGS = _MODEL_FLAGS + (
 
 
 def _run_reflect(inp: dict) -> _Outcome:
-    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    model = _read(inp, "model", ManifoldModel)
     mirror = HomologyClass(model, tuple(_get_int_list(inp, "mirror")))
     target = HomologyClass(model, tuple(_get_int_list(inp, "target")))
     image = HomologyClass._trusted(
@@ -327,7 +325,7 @@ _ORBIT_FLAGS = _MODEL_FLAGS + (
 
 
 def _run_orbit(inp: dict) -> _Outcome:
-    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    model = _read(inp, "model", ManifoldModel)
     seed = HomologyClass(model, tuple(_get_int_list(inp, "seed")))
     bound = _get_int(inp, "bound")
     names = inp.get("generators")
@@ -366,14 +364,17 @@ _PERIOD_FLAGS = _MODEL_FLAGS + (
 
 
 def _gather_periods(args: _Args) -> dict:
+    from .weyl import _periods  # the reader of --input, so both accept the same
+
     given = _gather_flags(args, _PERIOD_FLAGS)
-    # the library's reader and key table, so the flag accepts what an
-    # --input payload does and only weyl knows the payload's shape
-    return {"periods": periods_json(given["model"], given["periods"])}
+    model, texts = ManifoldModel.from_json_dict(given["model"]), given["periods"]
+    if len(texts) != model.rank:
+        raise LatticeError(f"expected {model.rank} periods for this model, got {len(texts)}")
+    return {"periods": _periods(model, texts[: model.head], texts[model.head :])}
 
 
 def _run_reduce_periods(inp: dict) -> _Outcome:
-    p = PeriodVector.from_json_dict(_get_dict(inp, "periods"))
+    p = _read(inp, "periods", PeriodVector)
     red = reduce_periods(p)
     word = red.word.to_json_list()
     lines = (
@@ -382,7 +383,7 @@ def _run_reduce_periods(inp: dict) -> _Outcome:
         f"word:     {' '.join(word) if word else '(empty)'}",
         f"boundary: {', '.join(red.boundary_flags) if red.boundary_flags else '(none)'}",
     )
-    return _Outcome(red.to_json_dict(), lines)
+    return _Outcome(red.to_json_dict, lines)
 
 
 _REDUCE_CLASS_FLAGS = _MODEL_FLAGS + (
@@ -397,7 +398,7 @@ def _gather_reduce_class(args: _Args) -> dict:
 
 
 def _run_reduce_class(inp: dict) -> _Outcome:
-    c = HomologyClass.from_json_dict(_get_dict(inp, "target"))
+    c = _read(inp, "target", HomologyClass)
     gens = generator_set(c.model)
     red = reduce_class(gens, c)
     word = red.word.to_json_list()
@@ -410,35 +411,30 @@ def _run_reduce_class(inp: dict) -> _Outcome:
         lines.append(f"moved to: {red.canonical}")
     if red.stalled is not None:
         lines.append(f"stalled:  {red.stalled}")
-    return _Outcome(red.to_json_dict(), tuple(lines))
+    return _Outcome(red.to_json_dict, tuple(lines))
 
 
 def _run_lagrangian(inp: dict) -> _Outcome:
-    p = PeriodVector.from_json_dict(_get_dict(inp, "periods"))
+    p = _read(inp, "periods", PeriodVector)
     try:
         system = lagrangian_system(p)
     except NotReducedError as exc:
         raise UsageError(f"{exc}; run reduce-periods first") from exc
     membership = maximal_system_membership(system)
-    result = system.to_json_dict()
-    result["membership"] = membership.to_json_dict()
-    lines = [f"periods:  {p}", f"type:     {system.label}"]
-    lines.extend(
-        f"  {n}: {c}" for n, c in zip(system.member_names, system.member_classes)
-    )
-    lines.append(
-        f"inside:   {membership.container_label}"
-        f" ({', '.join(membership.container_names)})"
-    )
-    return _Outcome(result, tuple(lines))
+
+    def lines():
+        yield f"periods:  {p}"
+        yield f"type:     {system.label}"
+        yield from (f"  {n}: {c}" for n, c in system.members())
+        yield f"inside:   {membership.container_label} ({', '.join(membership.container_names)})"
+
+    return _Outcome(lambda: {**system.to_json_dict(), "membership": membership}, lines())
 
 
 def _run_coxeter_check(inp: dict) -> _Outcome:
-    model = ManifoldModel.from_json_dict(_get_dict(inp, "model"))
+    model = _read(inp, "model", ManifoldModel)
     gens = generator_set(model)
     report = verify_presentation(gens)
-    result = report.to_json_dict()
-    result["system"] = report.system.to_json_dict()
     lines = [f"system:   {report.system.label}"]
     bad = [e for e in report.entries if not e.ok]
     if report.ok:
@@ -449,7 +445,8 @@ def _run_coxeter_check(inp: dict) -> _Outcome:
             f"  {e.a},{e.b}: expected {e.expected}, computed {e.computed}"
             for e in bad
         )
-    return _Outcome(result, tuple(lines), EXIT_OK if report.ok else EXIT_INTERNAL)
+    code = EXIT_OK if report.ok else EXIT_INTERNAL
+    return _Outcome(lambda: {**report.to_json_dict(), "system": report.system}, tuple(lines), code)
 
 
 _COXETER_FINITE_FLAGS = _MODEL_FLAGS + (
@@ -471,11 +468,11 @@ def _gather_coxeter_finite(args: _Args) -> dict:
     else:
         _bind(("lattice", "weyl"))  # only this path reads a model
         system = expected_coxeter_system(ManifoldModel.from_json_dict(_model_dict(args)))
-    return {"system": system.to_json_dict()}
+    return {"system": system}
 
 
 def _run_coxeter_finite(inp: dict) -> _Outcome:
-    system = CoxeterSystem.from_json_dict(_get_dict(inp, "system"))
+    system = _read(inp, "system", CoxeterSystem)
     finite = is_finite_type(system)
     det = gram_determinant(system)
     result = {
@@ -572,7 +569,7 @@ def _run_sw_check(inp: dict) -> _Outcome:
     cert = certify_sphere_class(norm)
     bound = sw_inequality_holds(norm) if norm.k >= 2 else None
     result = {
-        "normalized": norm.to_json_dict(),
+        "normalized": norm,
         "verdict": cert.verdict.value,
         "genus_bound_holds": bound,
     }
@@ -606,7 +603,7 @@ def _run_sw_search(inp: dict) -> _Outcome:
     found = dichotomy_search(blowups, k_max)
     result = {
         "count": len(found),
-        "candidates": [c.to_json_dict() for c in found],
+        "candidates": found,
     }
     if found:
         lines = [f"candidates: {len(found)}"]
@@ -701,11 +698,11 @@ def _run_describe(inp: dict) -> _Outcome:
             raise UsageError("'target.label' must be a string")
         desc = describe_diffeotopy(label)
     else:
-        model = ManifoldModel.from_json_dict(_get_dict(target, "model"))
+        model = _read(target, "model", ManifoldModel)
         desc = describe_diffeotopy(model)
     lines = [desc.name, f"structure: {desc.structure.render()}"]
     lines.extend(f"note: {n}" for n in desc.notes)
-    return _Outcome(desc.to_json_dict(), tuple(lines))
+    return _Outcome(desc.to_json_dict, tuple(lines))
 
 
 _COMMANDS = {
@@ -744,7 +741,7 @@ _COMMANDS = {
             "move a period vector into the fundamental domain",
             _PERIOD_FLAGS,
             _run_reduce_periods,
-            ("weyl",),
+            ("lattice", "weyl"),
             _gather_periods,
         ),
         _Command(
@@ -760,7 +757,7 @@ _COMMANDS = {
             "zero-period wall classes of a reduced vector, with their type",
             _PERIOD_FLAGS,
             _run_lagrangian,
-            ("weyl",),
+            ("lattice", "weyl"),
             _gather_periods,
         ),
         _Command(
@@ -971,8 +968,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        result = {k: v() if callable(v) else v for k, v in outcome.result.items()}
-        print(json.dumps({"subcommand": cmd.name, "input": inp, "result": result}, indent=2))
+        result = outcome.result() if callable(outcome.result) else outcome.result
+        payload = {"subcommand": cmd.name, "input": inp, "result": result}
+        print(json.dumps(payload, indent=2, default=lambda o: o.to_json_dict()))
     else:
         for line in outcome.lines:
             print(line)

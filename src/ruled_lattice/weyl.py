@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .base import (
     INF,
@@ -394,27 +394,6 @@ def read_period(x) -> tuple[int, int]:
 _HEAD_KEYS = {Kind.RATIONAL: ("line",), Kind.RULED: ("fiber", "section")}
 
 
-def _json_periods(model: dict, keys: tuple[str, ...], texts: Sequence[str]) -> dict:
-    """The JSON object of a period vector: model, head keys, exceptional."""
-    out: dict = {"model": model}
-    out.update(zip(keys, texts))
-    out["exceptional"] = list(texts[len(keys) :])
-    return out
-
-
-def periods_json(model: dict, periods: Sequence) -> dict:
-    """The JSON object ``PeriodVector.from_json_dict`` reads, built from a
-    model's JSON object and the periods in basis order (head first, then
-    mu_1..mu_l), each read by ``read_period`` and printed in lowest terms.
-    """
-    texts = [rational_text(*read_period(x)) for x in periods]
-    keys = _HEAD_KEYS[Kind(model["kind"])]
-    want = model["blowups"] + len(keys)
-    if len(texts) != want:
-        raise LatticeError(f"expected {want} periods for this model, got {len(texts)}")
-    return _json_periods(model, keys, texts)
-
-
 class PeriodVector(Record):
     """Periods of a (candidate) symplectic form in the fixed basis.
 
@@ -505,8 +484,13 @@ class PeriodVector(Record):
         return f"({', '.join(texts[:h])}; {','.join(texts[h:])})"
 
     def to_json_dict(self) -> dict:
+        """The model, the head periods under their keys, then "exceptional"."""
         keys = _HEAD_KEYS[self.model.kind]
-        return _json_periods(self.model.to_json_dict(), keys, self._texts())
+        texts = self._texts()
+        out: dict = {"model": self.model.to_json_dict()}
+        out.update(zip(keys, texts))
+        out["exceptional"] = texts[len(keys) :]
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PeriodVector":
@@ -785,11 +769,14 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
 
 
 class LagrangianSystem(Record):
-    """The zero-period wall classes of a reduced vector, with their type."""
+    """The zero-period wall classes of a reduced vector, with their type.
+
+    ``member_roots[i]`` is member i's root, as in ``GeneratorSet.roots``.
+    """
 
     model: ManifoldModel
     member_names: tuple[str, ...]
-    member_classes: tuple[HomologyClass, ...]
+    member_roots: tuple[Sparse, ...]
     system: CoxeterSystem
     components: tuple[str, ...]
 
@@ -799,13 +786,20 @@ class LagrangianSystem(Record):
             return "trivial"
         return "+".join(self.components)
 
+    @property
+    def member_classes(self) -> tuple[HomologyClass, ...]:
+        """The rank-length member classes, built afresh from the roots."""
+        return tuple(_sparse_class(self.model, r) for r in self.member_roots)
+
+    def members(self) -> Iterator[tuple[str, str]]:
+        """Each member's name and class text, one rank-length class at a time."""
+        for name, root in zip(self.member_names, self.member_roots):
+            yield name, str(_sparse_class(self.model, root))
+
     def to_json_dict(self) -> dict:
         return {
             "model": self.model.to_json_dict(),
-            "members": [
-                {"name": n, "class": str(c)}
-                for n, c in zip(self.member_names, self.member_classes)
-            ],
+            "members": [{"name": n, "class": c} for n, c in self.members()],
             "label": self.label,
             "components": list(self.components),
         }
@@ -821,7 +815,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     simple reflections, so their graph is the presentation's graph on them
     (a parabolic subgroup); its 4-edges all touch the twist.
     """
-    # one generator table gives the wall periods and the member names and classes
+    # one generator table gives the wall periods and the member names and roots
     gens = generator_set(p.model)
     walls = p._pair_roots(gens.roots)
     if min(walls) < 0:
@@ -840,12 +834,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     if components is None:
         raise InternalConsistencyError("Lagrangian system is not finite type")
     return LagrangianSystem(
-        p.model,
-        names,
-        # built only because the payload prints them
-        tuple(_sparse_class(p.model, gens.roots[i]) for i in zero),
-        system,
-        components,
+        p.model, names, tuple(gens.roots[i] for i in zero), system, components
     )
 
 

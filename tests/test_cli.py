@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -922,6 +923,41 @@ def test_pipe_closed_after_one_line_exits_120_without_traceback(argv):
     assert b"Traceback" not in err
 
 
+# one direct call per subcommand, on the path that binds the most names
+_COLD_CALLS = {
+    "manifold-info": ["--model=ruled", "--ell=3"],
+    "pair": ["--model=rational", "--ell=3", "--a=1,-1,-1,0", "--b=0,1,-1,0"],
+    "reflect": ["--model=ruled", "--ell=2", "--mirror=0,0,1,0", "--target=1,0,0,0"],
+    "orbit": ["--model=rational", "--ell=3", "--seed=0,0,0,1", "--bound=2"],
+    "reduce-periods": ["--model=ruled", "--ell=3", "--periods=2,9,3/2,1,1"],
+    "reduce-class": ["--model=rational", "--ell=5", "--coeffs=2,-1,-1,-1,-1,-1"],
+    "lagrangian-system": ["--model=rational", "--ell=5", "--periods=3,1,1,1,1,1"],
+    "coxeter-check": ["--model=ruled", "--ell=4"],
+    "coxeter-finite": ["--model=rational", "--ell=5"],
+    "crystal-check": ["--system=BD7", "--short=s6"],
+    "sw-check": ["--k=6", "--m=2,2,2,2,2,2,2,2,2,2"],
+    "sw-search": ["--ell=11", "--k-max=12"],
+    "extremal": ["--k=12", "--ell=10"],
+    "decompose-o12": ["--matrix=9,4,8;-4,-1,-4;8,4,7"],
+    "describe": ["--model=ruled", "--ell=3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLD_CALLS))
+def test_each_subcommand_runs_in_a_fresh_process(capsys, name):
+    # in process, every call sees the names main bound for the calls before
+    # it, so a name missing from a command's modules passes there; a fresh
+    # process binds only the names of its one command
+    assert set(_COLD_CALLS) == set(_COMMANDS)
+    argv = [name, *_COLD_CALLS[name]]
+    code, out, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_FOUND) and err == ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ruled_lattice.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_installed_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ruled_lattice.cli", "coxeter-finite", "--system", "BD7"],
@@ -951,6 +987,60 @@ def test_text_manifold_info_builds_no_rank_squared_form():
         [sys.executable, "-c", _PEAK_RSS_PROBE, *argv], capture_output=True, text=True, check=True
     )
     assert int(proc.stdout) < 60 * 1024
+
+
+def _periods_flag(l: int) -> str:
+    # (3l; 1,..,1): reduced, with l - 1 zero walls
+    return "--periods=" + ",".join([str(3 * l)] + ["1"] * l)
+
+
+def _class_flag(flag: str, l: int, slot: int) -> str:
+    return f"{flag}=" + ",".join("1" if j == slot else "0" for j in range(l + 1))
+
+
+# the flags after --model=rational --ell=l (--ell=l alone where there is no
+# model) of a text call whose output is linear in l
+_LINEAR_TEXT_CALLS = {
+    "manifold-info": lambda l: [],
+    "coxeter-finite": lambda l: [],
+    "describe": lambda l: [],
+    "lagrangian-system": lambda l: [_periods_flag(l)],
+    "reduce-periods": lambda l: [_periods_flag(l)],
+    "reduce-class": lambda l: [_class_flag("--coeffs", l, 1)],
+    "pair": lambda l: [_class_flag("--a", l, 1), _class_flag("--b", l, 2)],
+    "reflect": lambda l: [_class_flag("--mirror", l, 1), _class_flag("--target", l, 0)],
+    "extremal": lambda l: ["--k=30"],
+}
+# the other subcommands that take --ell, with why they are left out
+_NONLINEAR_CALLS = {
+    "coxeter-check": "verify_presentation stores an entry per pair of generators",
+    "orbit": "its output is the orbit, which grows faster than the rank",
+    "sw-search": "--ell sizes a search over multiplicity vectors, not a lattice",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR_TEXT_CALLS))
+def test_text_peak_memory_is_linear_in_the_rank(capsys, name):
+    # traced bytes do not depend on the host, unlike time.  A full collection
+    # empties the free lists first, so each call allocates its objects afresh
+    takes_ell = {c.name for c in _COMMANDS.values() if "--ell" in {f.name for f in c.flags}}
+    assert takes_ell == set(_LINEAR_TEXT_CALLS) | set(_NONLINEAR_CALLS)
+    model = [] if name == "extremal" else ["--model=rational"]
+
+    def peak(l: int) -> int:
+        argv = [name, *model, f"--ell={l}", *_LINEAR_TEXT_CALLS[name](l)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            size = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        return size
+
+    peak(10)  # loads the modules the command uses
+    assert peak(1000) < 2.6 * peak(500)
 
 
 # ---------------------------------------------------------------------------

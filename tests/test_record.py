@@ -41,7 +41,7 @@ def _samples() -> dict:
         weyl.PeriodVector: (ruled_model(2), (6, 4, -3, -3), 2),
         weyl.PeriodReduction: (periods, word, ("s1",)),
         weyl.ClassReduction: (True, word, e1, None),
-        weyl.LagrangianSystem: (model, ("s1",), (e1 - e1,), a2, ("A1",)),
+        weyl.LagrangianSystem: (model, ("s1",), gens.roots[1:2], a2, ("A1",)),
         weyl.MaximalMembership: ("A2", ("s1", "s2")),
         coxeter.CoxeterSystem: (a2.names, tuple(a2.pairs.items()), "A2"),
         coxeter.CrystallographicStructure: (a2, frozenset({"s1"})),

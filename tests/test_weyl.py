@@ -1081,7 +1081,8 @@ def test_every_container_classifies_to_its_label(model):
     missing = range(9) if model.kind is Kind.RATIONAL and l >= 9 else (None,)
     for k in missing:
         present = tuple(f"s{i}" for i in range(l) if i != k)
-        memb = maximal_system_membership(LagrangianSystem(model, present, (), None, ()))
+        system = LagrangianSystem(model, present, member_roots=(), system=None, components=())
+        memb = maximal_system_membership(system)
         slot = {int(name[1:]): a for a, name in enumerate(memb.container_names)}
         pairs = {(slot[i], slot[j]): 3 for i, j in edges if i in slot and j in slot}
         types = component_types(CoxeterSystem(memb.container_names, pairs))

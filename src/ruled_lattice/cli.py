@@ -221,7 +221,7 @@ class _Command(Record):
 
 
 def _run_manifold_info(inp: dict) -> _Outcome:
-    from .lattice import _dual
+    from .lattice import _class_text, _dual
 
     model = _read(inp, "model", ManifoldModel)
     h, n = model.head, model.rank
@@ -234,7 +234,7 @@ def _run_manifold_info(inp: dict) -> _Outcome:
         generators = None
         lines.append(f"generators: none ({exc})")
     else:
-        generators = {n: str(gens.class_of(n)) for n in gens.names}
+        generators = {n: _class_text(model, r) for n, r in zip(gens.names, gens.roots)}
         lines.append("generators:")
         lines.extend(f"  {n}: reflection along {c}" for n, c in generators.items())
 
@@ -325,6 +325,8 @@ _ORBIT_FLAGS = _MODEL_FLAGS + (
 
 
 def _run_orbit(inp: dict) -> _Outcome:
+    from .lattice import _class_text
+
     model = _read(inp, "model", ManifoldModel)
     seed = HomologyClass(model, tuple(_get_int_list(inp, "seed")))
     bound = _get_int(inp, "bound")
@@ -346,7 +348,7 @@ def _run_orbit(inp: dict) -> _Outcome:
         yield f"size:      {len(vectors)}"
         yield f"truncated: {'yes' if res.truncated else 'no'}"
         for v in vectors:
-            yield f"  {HomologyClass(model, v)}"
+            yield f"  {_class_text(model, enumerate(v))}"
 
     return _Outcome(result, lines())
 
@@ -505,26 +507,14 @@ _CRYSTAL_CHECK_FLAGS = (
 
 def _gather_crystal_check(args: _Args) -> dict:
     given = _gather_flags(args, _CRYSTAL_CHECK_FLAGS)
-    if "short" in given:
-        struct = CrystallographicStructure(
-            from_name(given["system"]), frozenset(given["short"])
-        )
-    else:
-        struct = standard_crystal(given["system"])
-    return {"crystal": struct.to_json_dict()}
+    system = given["system"]
+    if "short" not in given:
+        return {"crystal": standard_crystal(system)}
+    return {"crystal": CrystallographicStructure(from_name(system), frozenset(given["short"]))}
 
 
 def _run_crystal_check(inp: dict) -> _Outcome:
-    value = _get_dict(inp, "crystal")
-    short = value.get("short")
-    if not isinstance(short, list) or any(not isinstance(s, str) for s in short):
-        raise UsageError("'crystal.short' must be a JSON array of names")
-    sys_d = value.get("system")
-    if not isinstance(sys_d, dict):
-        raise UsageError("'crystal.system' must be a JSON object")
-    struct = CrystallographicStructure(
-        CoxeterSystem.from_json_dict(sys_d), frozenset(short)
-    )
+    struct = _read(inp, "crystal", CrystallographicStructure)
     comb = verify_crystallographic(struct)
     matrix = crystallographic_lattice_invariance(struct)
     if comb.ok != matrix.ok:

@@ -410,6 +410,15 @@ class CrystallographicStructure(Record):
             "short": sorted(self.short),
         }
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "CrystallographicStructure":
+        short, system = data.get("short"), data.get("system")
+        if not isinstance(short, list) or any(not isinstance(s, str) for s in short):
+            raise CoxeterError("'crystal.short' must be a JSON array of names")
+        if not isinstance(system, dict):
+            raise CoxeterError("'crystal.system' must be a JSON object")
+        return cls(CoxeterSystem.from_json_dict(system), frozenset(short))
+
 
 class CrystalReport(Record):
     ok: bool

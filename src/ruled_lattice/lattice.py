@@ -105,6 +105,24 @@ def ruled_model(blowups: int, genus: int = 1) -> ManifoldModel:
     return ManifoldModel(Kind.RULED, blowups, genus)
 
 
+def _class_text(model: ManifoldModel, pairs) -> str:
+    """``str`` of the class with these (slot, coefficient) pairs, zeros
+    skipped.  The pairs must come in increasing slot order, as a class's
+    ``enumerate(coeffs)`` and every ``generator_set`` root do."""
+    names = model.basis_names
+    parts = []
+    for i, c in pairs:
+        if c == 0:
+            continue
+        if not parts:
+            prefix = "-" if c < 0 else ""
+        else:
+            prefix = " - " if c < 0 else " + "
+        mag = abs(c)
+        parts.append(f"{prefix}{'' if mag == 1 else mag}{names[i]}")
+    return "".join(parts) if parts else "0"
+
+
 def _check_int_coeffs(coeffs: Sequence) -> tuple[int, ...]:
     out = []
     for c in coeffs:
@@ -134,18 +152,7 @@ class HomologyClass(Record):
         _check_length(self.model, self.coeffs)
 
     def __str__(self) -> str:
-        names = self.model.basis_names
-        parts = []
-        for c, name in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            if not parts:
-                prefix = "-" if c < 0 else ""
-            else:
-                prefix = " - " if c < 0 else " + "
-            mag = abs(c)
-            parts.append(f"{prefix}{'' if mag == 1 else mag}{name}")
-        return "".join(parts) if parts else "0"
+        return _class_text(self.model, enumerate(self.coeffs))
 
     @property
     def square(self) -> int:
@@ -321,7 +328,7 @@ def _root_action(model: ManifoldModel, support) -> RootAction:
     coef = {-2: 1, -1: 2}.get(sq)
     if coef is None:
         raise UnsupportedReflectionError(
-            f"reflection requires square -1 or -2, got {sq} for {_sparse_class(model, support)}"
+            f"reflection requires square -1 or -2, got {sq} for {_class_text(model, support)}"
         )
     return dual, tuple((i, coef * c) for i, c in support)
 

@@ -42,6 +42,7 @@ from .lattice import (
     Sparse,
     _check_int_coeffs,
     _check_length,
+    _class_text,
     _dual,
     _pair_coeffs,
     _reflection_matrix,
@@ -792,9 +793,9 @@ class LagrangianSystem(Record):
         return tuple(_sparse_class(self.model, r) for r in self.member_roots)
 
     def members(self) -> Iterator[tuple[str, str]]:
-        """Each member's name and class text, one rank-length class at a time."""
+        """Each member's name and class text, read off its root."""
         for name, root in zip(self.member_names, self.member_roots):
-            yield name, str(_sparse_class(self.model, root))
+            yield name, _class_text(self.model, root)
 
     def to_json_dict(self) -> dict:
         return {
@@ -867,17 +868,10 @@ def maximal_system_membership(sys: LagrangianSystem) -> MaximalMembership:
         return MaximalMembership(f"D{l}", all_names)
     if l <= 8:
         return MaximalMembership(f"E{l}", all_names)
-
-    def without(k: int) -> tuple[str, ...]:
-        return tuple(n for n in all_names if n != f"s{k}")
-
-    if "s0" not in present:
-        return MaximalMembership(f"A{l - 1}", without(0))
-    if "s1" not in present:
-        return MaximalMembership(f"D{l - 1}", without(1))
-    if "s2" not in present:
-        return MaximalMembership(f"A1+A{l - 2}", without(2))
-    for k in range(3, 9):
+    # the container left when s_k is dropped, for k = 0..8
+    containers = (f"A{l - 1}", f"D{l - 1}", f"A1+A{l - 2}")
+    containers += tuple(f"E{k}+A{l - k - 1}".removesuffix("+A0") for k in range(3, 9))
+    for k, label in enumerate(containers):
         if f"s{k}" not in present:
-            return MaximalMembership(f"E{k}+A{l - k - 1}".removesuffix("+A0"), without(k))
+            return MaximalMembership(label, tuple(n for n in all_names if n != f"s{k}"))
     raise InternalConsistencyError("system contains an affine E9 subgraph")

@@ -511,6 +511,26 @@ def test_input_describe_target_is_validated(capsys, monkeypatch, target, message
     assert err == f"error: {message}\n"
 
 
+_CRYSTAL_SYSTEM = {"names": ["s1", "s2"], "matrix": [[1, 4], [4, 1]]}
+
+
+@pytest.mark.parametrize(
+    "crystal,message",
+    [
+        ({"system": _CRYSTAL_SYSTEM, "short": "s2"}, "'crystal.short' must be a JSON array of names"),
+        ({"system": _CRYSTAL_SYSTEM, "short": [1]}, "'crystal.short' must be a JSON array of names"),
+        ({"system": [], "short": ["s2"]}, "'crystal.system' must be a JSON object"),
+    ],
+    ids=["string-short", "number-short", "list-system"],
+)
+def test_input_crystal_is_validated(capsys, monkeypatch, crystal, message):
+    # the gather hands the run its structure; a payload is read in full
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"crystal": crystal})))
+    code, out, err = run(capsys, "crystal-check", "--input", "-")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
+
+
 def test_input_from_stdin(capsys, monkeypatch, tmp_path):
     import io
 
@@ -690,28 +710,47 @@ def test_lagrangian_refuses_vectors_outside_the_cone(capsys, model, periods):
     )
 
 
-def test_manifold_info_builds_and_renders_each_generator_class_once(capsys, monkeypatch):
+def _count_class_builds(monkeypatch) -> dict:
+    """Patch every way the library builds a ``HomologyClass`` (validated,
+    ``_trusted`` or through ``_sparse_class``) to count into the dict."""
     from ruled_lattice import lattice, weyl
 
-    counts = {"built": 0, "rendered": 0}
-    build, render = weyl._sparse_class, lattice.HomologyClass.__str__
+    counts = {"built": 0}
+    trusted, post_init = lattice.HomologyClass._trusted.__func__, lattice.HomologyClass.__post_init__
 
-    def counting_build(*args):
-        counts["built"] += 1
-        return build(*args)
+    def counting(real):
+        def wrapper(*args):
+            counts["built"] += 1
+            return real(*args)
 
-    def counting_render(c):
+        return wrapper
+
+    for module in (lattice, weyl):
+        monkeypatch.setattr(module, "_sparse_class", counting(module._sparse_class))
+    monkeypatch.setattr(lattice.HomologyClass, "_trusted", classmethod(counting(trusted)))
+    monkeypatch.setattr(lattice.HomologyClass, "__post_init__", counting(post_init))
+    return counts
+
+
+def test_manifold_info_renders_each_generator_from_its_root(capsys, monkeypatch):
+    # one renderer call per generator, on its root, and no rank-length class
+    # built to be printed: text and --json alike
+    from ruled_lattice import lattice
+
+    counts = _count_class_builds(monkeypatch)
+    render = lattice._class_text
+
+    def counting_render(*args):
         counts["rendered"] += 1
-        return render(c)
+        return render(*args)
 
-    monkeypatch.setattr(weyl, "_sparse_class", counting_build)
-    monkeypatch.setattr(lattice.HomologyClass, "__str__", counting_render)
+    monkeypatch.setattr(lattice, "_class_text", counting_render)
     for extra in ((), ("--json",)):
         counts.update(built=0, rendered=0)
         code, out, _ = run(capsys, "manifold-info", "--model=rational", "--ell=40", *extra)
         assert code == EXIT_OK
         assert "L - E1 - E2 - E3" in out and "E39 - E40" in out
-        assert counts == {"built": 41, "rendered": 41}
+        assert counts == {"built": 0, "rendered": 41}
 
 
 def test_decompose_o12(capsys):
@@ -1019,28 +1058,72 @@ _NONLINEAR_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LINEAR_TEXT_CALLS))
-def test_text_peak_memory_is_linear_in_the_rank(capsys, name):
+def _text_peak(capsys, argv: list) -> int:
     # traced bytes do not depend on the host, unlike time.  A full collection
     # empties the free lists first, so each call allocates its objects afresh
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        size = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+    return size
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR_TEXT_CALLS))
+def test_text_peak_memory_is_linear_in_the_rank(capsys, name):
     takes_ell = {c.name for c in _COMMANDS.values() if "--ell" in {f.name for f in c.flags}}
     assert takes_ell == set(_LINEAR_TEXT_CALLS) | set(_NONLINEAR_CALLS)
     model = [] if name == "extremal" else ["--model=rational"]
 
     def peak(l: int) -> int:
-        argv = [name, *model, f"--ell={l}", *_LINEAR_TEXT_CALLS[name](l)]
-        gc.collect()
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            size = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
-        return size
+        return _text_peak(capsys, [name, *model, f"--ell={l}", *_LINEAR_TEXT_CALLS[name](l)])
 
     peak(10)  # loads the modules the command uses
     assert peak(1000) < 2.6 * peak(500)
+
+
+def test_crystal_check_text_peak_memory_is_linear_in_the_rank(capsys):
+    # crystal-check names its system, so it is keyed on the rank, not --ell;
+    # serialising the structure for the run built the rank^2 order matrix
+    def peak(rank: int) -> int:
+        return _text_peak(capsys, ["crystal-check", f"--system=BE{rank}"])
+
+    peak(11)  # loads the modules the command uses
+    assert peak(1001) < 2.6 * peak(501)
+
+
+# the flags after --model=rational --ell=l of a call that prints one class per
+# root or orbit vector, with at most l + 1 of them: the orbit of E1 under the
+# swaps s1..s_k, k = l / 100, is E1..E_{k+1}
+_CLASS_TEXT_CALLS = {
+    "lagrangian-system": lambda l: [_periods_flag(l)],
+    "manifold-info": lambda l: [],
+    "orbit": lambda l: [
+        _class_flag("--seed", l, 1),
+        "--bound=1",
+        "--generators=" + ",".join(f"s{i}" for i in range(1, l // 100 + 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(_CLASS_TEXT_CALLS))
+def test_class_text_builds_no_class_per_root(capsys, monkeypatch, name, json_flag):
+    # each root or vector is rendered from its (slot, coefficient) pairs; a
+    # rank-length class built per root made the text quadratic in time
+    counts = _count_class_builds(monkeypatch)
+
+    def builds(l: int) -> int:
+        counts["built"] = 0
+        argv = [name, "--model=rational", f"--ell={l}", *_CLASS_TEXT_CALLS[name](l), *json_flag]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "") and out
+        return counts["built"]
+
+    assert builds(200) == builds(2000)
 
 
 # ---------------------------------------------------------------------------

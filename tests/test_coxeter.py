@@ -648,6 +648,19 @@ def test_standard_split_shapes():
 
 
 @pytest.mark.parametrize(
+    "name",
+    [f"BE{n}" for n in range(6, 13)]
+    + [f"BD{n}" for n in range(5, 13)]
+    + ["L4-3-4-4", "L3-4-4", "L3-4-inf", "I2-inf"],
+)
+def test_crystal_json_round_trip(name):
+    struct = standard_crystal(name)
+    back = CrystallographicStructure.from_json_dict(struct.to_json_dict())
+    assert back == struct
+    assert back.system.label == struct.system.label
+
+
+@pytest.mark.parametrize(
     "name,short",
     [
         ("E6", frozenset({"s1"})),  # label 3 edge would cross parts

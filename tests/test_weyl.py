@@ -104,6 +104,22 @@ def test_generator_set_reads_its_root_actions_off_the_roots(monkeypatch):
         assert g.root_action("s2000") == (((h + 1999, -1),), ((h + 1999, 2),))
 
 
+@pytest.mark.parametrize("kind", list(Kind))
+def test_class_text_of_a_root_is_the_text_of_its_class(kind):
+    # the renderer prints the pairs in the order given: the roots' slots must
+    # increase, and it skips zeros itself
+    build, least = (rational_model, 3) if kind is Kind.RATIONAL else (ruled_model, 2)
+    for l in [*range(least, 13), 2000]:
+        model = build(l)
+        for root in generator_set(model).roots:
+            slots = [i for i, _ in root]
+            assert all(a < b for a, b in zip(slots, slots[1:])), root
+            assert all(c != 0 for _, c in root), root
+            assert lattice._class_text(model, root) == str(lattice._sparse_class(model, root))
+    assert lattice._class_text(R3, ()) == "0" == str(HomologyClass(R3, (0, 0, 0, 0)))
+    assert lattice._class_text(R3, ((0, 0), (1, -2), (3, 1))) == "-2E1 + E3"
+
+
 def test_generators_are_involutions():
     for model in (R3, ruled_model(3, 2)):
         g = generator_set(model)

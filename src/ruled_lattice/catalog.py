@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Union
 
-from . import coxeter, lattice, weyl
+from . import coxeter, weyl
 from .base import SMALL_CASE_LABELS, InternalConsistencyError, Record
 from .coxeter import CoxeterSystem
 from .lattice import Kind, LatticeAutomorphism, LatticeError, ManifoldModel, rational_model
@@ -377,15 +377,13 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
     gens = _o12_gens()
     neg_e1 = ("s1", "s2", "s1")  # conjugate the E2 twist to the E1 twist
 
-    cols = tuple(zip(*m.matrix))
+    cols = [list(col) for col in zip(*m.matrix)]
     descent: list[str] = []
 
     def push(names: tuple[str, ...]) -> None:
-        nonlocal cols
-        for name in names:
-            action = gens.root_action(name)
-            cols = tuple(lattice.reflect_coeffs(action, col) for col in cols)
-            descent.append(name)
+        for col in cols:
+            gens._walk(names, col)
+        descent.extend(names)
 
     while True:
         if len(descent) > weyl.WORD_LETTER_CAP:
@@ -406,7 +404,7 @@ def decompose_O12(m: LatticeAutomorphism) -> GroupWord:
         if cols[0][0] >= before:
             raise InternalConsistencyError("descent failed to decrease l")
 
-    residual = _o12_residual_table().get(cols)
+    residual = _o12_residual_table().get(tuple(map(tuple, cols)))
     if residual is None:
         raise InternalConsistencyError("residual automorphism is not a signed permutation")
     return GroupWord(tuple(residual) + tuple(reversed(descent)))

@@ -309,8 +309,8 @@ def _reflection_matrix(model: ManifoldModel, action: RootAction) -> LatticeAutom
 def root_action(s: HomologyClass) -> RootAction:
     """The reflection along ``s`` as ``x -> x + (x.s) coef*s``, kept sparse.
 
-    Returns the pairs (j, (G s)_j) and (i, coef*s_i) over the nonzero
-    entries, so ``reflect_coeffs`` costs O(support of s), not O(rank^2).
+    Returns the pairs (j, (G s)_j), (i, coef*s_i) over the nonzero entries:
+    ``GeneratorSet._walk`` costs O(support), the copying ``reflect_coeffs`` O(rank).
     """
     return _root_action(s.model, [(i, c) for i, c in enumerate(s.coeffs) if c])
 

@@ -118,6 +118,21 @@ class GeneratorSet(Record):
         """The sparse action of one generator, see ``lattice.root_action``."""
         return _generator(self._root_actions, name)
 
+    def _walk(self, letters: Iterable[str], vector: list[int]) -> None:
+        """Move ``vector`` in place by each letter's root action, O(support)
+        a letter.  ``reflect_coeffs`` keeps its own body: ``orbit``'s BFS,
+        ``_product_order`` and ``reflect`` need a fresh tuple, or the same
+        one when the mirror fixes it, and run slower through this kernel."""
+        actions = self._root_actions
+        for letter in letters:
+            dual, shift = _generator(actions, letter)
+            dot = 0
+            for j, g in dual:  # a loop, not sum(): half the walk's time
+                dot += vector[j] * g
+            if dot:
+                for i, c in shift:
+                    vector[i] += dot * c
+
 
 def _generator(table: dict, name: str):
     try:
@@ -577,11 +592,11 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     bubble-sort the exceptional slots (c[j] > c[j+1] means mu_i < mu_{i+1}),
     the twist s_l negates a positive last slot, and s0 adds its negative
     period times s0 to ``c``.  These closed forms are the walls' one copy
-    outside ``generator_set``, whose one table names the letters and checks
-    the result.  s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is the only step
-    that depends on the model.  The head period that s0 strictly decreases
-    (line resp. section) is a positive integer throughout, which bounds the
-    number of wall crossings.
+    outside ``generator_set``, whose one table names the letters, replays
+    the word (InternalConsistencyError if it strays) and checks the result.
+    s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is the only step that depends
+    on the model.  The head period that s0 strictly decreases (line resp.
+    section) is a positive integer throughout: it bounds the wall crossings.
 
     Zero exceptional periods are legal; the walls containing the reduced
     vector are reported in ``boundary_flags``.  A word longer than
@@ -619,6 +634,10 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
             c[j] -= gap
         letters.append(names[0])
 
+    replay = list(p.coeffs)  # the table's roots must certify the closed forms' word
+    gens._walk(letters, replay)
+    if replay != c:
+        raise InternalConsistencyError(f"the word of {p} does not replay on its generators")
     # the letters are unimodular, so the same denominator keeps lowest terms
     reduced = PeriodVector._trusted(p.model, tuple(c), p.denominator)
     walls = reduced._pair_roots(gens.roots)
@@ -697,13 +716,11 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         raise LatticeError(f"reduce_class expects square -1, got {c.square}")
     l = model.blowups
     letters: list[str] = []
-    coeffs = c.coeffs
+    coeffs = list(c.coeffs)
 
     def apply(word_letters: Sequence[str]) -> None:
         # the one place that moves the class, so the word records each letter
-        nonlocal coeffs
-        for letter in word_letters:
-            coeffs = reflect_coeffs(gens.root_action(letter), coeffs)
+        gens._walk(word_letters, coeffs)
         letters.extend(word_letters)
         _check_word_length(letters)
 
@@ -712,7 +729,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
         if coeffs[model.head + j - 1] == -1:
             apply(_twist_word(l, j))
         apply([f"s{k}" for k in range(j, l)])
-        final = HomologyClass._trusted(model, coeffs)
+        final = HomologyClass._trusted(model, tuple(coeffs))
         if final != exceptional_class(model, l):
             raise InternalConsistencyError(f"{kind} reduction landed on {final}")
         return ClassReduction(True, GroupWord(tuple(letters)), canonical=final)
@@ -720,7 +737,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
     if model.kind is Kind.RULED:
         if coeffs[0] != 0:
             return ClassReduction(
-                False, GroupWord(()), stalled=HomologyClass._trusted(model, coeffs)
+                False, GroupWord(()), stalled=HomologyClass._trusted(model, tuple(coeffs))
             )
         j = next(i for i in range(1, l + 1) if coeffs[1 + i] != 0)
         if coeffs[1 + j] == -1:
@@ -756,7 +773,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
             return ClassReduction(
                 False,
                 GroupWord(tuple(letters)),
-                stalled=HomologyClass._trusted(model, coeffs),
+                stalled=HomologyClass._trusted(model, tuple(coeffs)),
             )
         apply(["s0"])
         if abs(coeffs[0]) >= abs(k):

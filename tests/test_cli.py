@@ -82,6 +82,29 @@ def test_coxeter_finite_exits_3_when_the_two_routes_disagree(capsys, monkeypatch
     assert err == "internal consistency failure: graph classification and Gram pivot signs disagree\n"
 
 
+def test_reduce_periods_exits_3_when_its_word_does_not_replay(capsys, monkeypatch):
+    from ruled_lattice import weyl
+
+    # a table whose s1 and s2 name each other's root: the kernel still calls
+    # its swap of E1 and E2 s1, which this table reads as E2 - E3
+    real = weyl.generator_set
+
+    def corrupted(model):
+        gens = real(model)
+        roots = list(gens.roots)
+        roots[1], roots[2] = roots[2], roots[1]
+        return weyl.GeneratorSet(model, gens.names, tuple(roots))
+
+    argv = ("reduce-periods", "--model=rational", "--ell=3", "--periods=6,1,2,2")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(weyl, "generator_set", corrupted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (
+        "internal consistency failure: the word of (6; 1,2,2) does not replay on its generators\n"
+    )
+
+
 def test_lagrangian_container_of_e8_alone(capsys):
     argv = ("--model=rational", "--ell=9", "--periods=9,3,3,3,3,3,3,3,3,2")
     code, out, _ = run(capsys, "lagrangian-system", *argv)

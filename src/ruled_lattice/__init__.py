@@ -17,7 +17,6 @@ _EXPORTS = {
         "decompose_O12",
         "describe_diffeotopy",
         "evaluate_o12_word",
-        "o12_generators",
         "o12_model",
     ),
     "coxeter": (
@@ -40,18 +39,13 @@ _EXPORTS = {
         "ManifoldModel",
         "ModelMismatchError",
         "UnsupportedReflectionError",
-        "anticanonical_class",
         "exceptional_class",
-        "fiber_class",
-        "line_class",
         "pairing",
         "positive_cone_contains",
         "rational_model",
         "reflect_coeffs",
-        "reflection_along",
         "root_action",
         "ruled_model",
-        "section_class",
     ),
     "sw": (
         "SWError",
@@ -59,7 +53,6 @@ _EXPORTS = {
         "Verdict",
         "certify_sphere_class",
         "dichotomy_search",
-        "dolgachev_candidate",
         "extremal_sequence",
         "sw_inequality_holds",
     ),

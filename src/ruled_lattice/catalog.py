@@ -117,9 +117,6 @@ class GroupDescription(Record):
     structure: GroupNode
     notes: tuple[str, ...] = ()
 
-    def render(self) -> str:
-        return f"{self.name} = {self.structure.render()}"
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -337,11 +334,6 @@ def _o12_gens() -> GeneratorSet:
     along L - E1 - E2, written as their roots over the slots (L, E1, E2)."""
     roots = (((1, 1), (2, -1)), ((2, 1),), ((0, 1), (1, -1), (2, -1)))
     return GeneratorSet(o12_model(), O12_GENERATOR_NAMES, roots)
-
-
-def o12_generators() -> dict[str, LatticeAutomorphism]:
-    """The three O12 generators as matrices, by name (see ``_o12_gens``)."""
-    return dict(_o12_gens().automorphisms)
 
 
 @cache

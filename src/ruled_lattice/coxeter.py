@@ -229,6 +229,8 @@ def from_name(name: str) -> CoxeterSystem:
             k = int(bits[0])
         except ValueError:
             raise CoxeterError(f"cannot parse rank in {name!r}") from None
+        if k < 1:
+            raise CoxeterError("L_k needs k >= 1")
         bad = [b for b in bits[1:] if not b.isdecimal() and b.lower() not in ("inf", "oo")]
         if bad:
             raise CoxeterError(f"bad edge label {bad[0]!r} in {name!r}")

@@ -28,7 +28,7 @@ class ModelMismatchError(LatticeError):
 
 
 class UnsupportedReflectionError(LatticeError):
-    """reflection_along only supports classes of square -1 or -2."""
+    """A reflection exists only along classes of square -1 or -2."""
 
 
 class Kind(enum.Enum):
@@ -158,28 +158,6 @@ class HomologyClass(Record):
     def square(self) -> int:
         return pairing(self, self)
 
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_model(self, other)
-        return HomologyClass._trusted(
-            self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_model(self, other)
-        return HomologyClass._trusted(
-            self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass._trusted(self.model, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, n: int) -> "HomologyClass":
-        if isinstance(n, bool) or not isinstance(n, int):
-            return NotImplemented
-        return HomologyClass._trusted(self.model, tuple(n * a for a in self.coeffs))
-
-    __rmul__ = __mul__
-
     def to_json_dict(self) -> dict:
         return {"model": self.model.to_json_dict(), "coeffs": list(self.coeffs)}
 
@@ -236,10 +214,6 @@ class LatticeAutomorphism(Record):
         n = model.rank
         return cls(model, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def apply(self, c: HomologyClass) -> HomologyClass:
-        _same_model(self, c)
-        return HomologyClass._trusted(self.model, self._product(c.coeffs))
-
     def apply_coeffs(self, coeffs: Sequence) -> tuple:
         """Matrix-vector product; accepts integer or Fraction entries."""
         _check_length(self.model, coeffs)
@@ -286,18 +260,9 @@ Sparse = tuple[tuple[int, int], ...]  # (slot, coefficient) pairs
 RootAction = tuple[Sparse, Sparse]
 
 
-def reflection_along(s: HomologyClass) -> LatticeAutomorphism:
-    """The reflection A -> A - 2 (A.s)/(s.s) s as an integer matrix.
-
-    Only classes with s^2 = -2 (wall reflections, A -> A + (A.s) s) and
-    s^2 = -1 (exceptional twists, A -> A + 2 (A.s) s) give integer matrices;
-    anything else is rejected.  The matrix is read off ``root_action(s)``.
-    """
-    return _reflection_matrix(s.model, root_action(s))
-
-
 def _reflection_matrix(model: ManifoldModel, action: RootAction) -> LatticeAutomorphism:
-    # the identity plus the outer product of the shift and dual halves
+    """The reflection of a ``root_action`` as a dense integer matrix: the
+    identity plus the outer product of the shift and dual halves."""
     dual, shift = action
     rows = [[int(i == j) for j in range(model.rank)] for i in range(model.rank)]
     for i, c in shift:
@@ -385,30 +350,5 @@ def _sparse_class(model: ManifoldModel, support) -> HomologyClass:
     return HomologyClass._trusted(model, tuple(coeffs))
 
 
-def line_class(model: ManifoldModel) -> HomologyClass:
-    if model.kind is not Kind.RATIONAL:
-        raise LatticeError("line class exists only in the rational model")
-    return _sparse_class(model, ((0, 1),))
-
-
-def section_class(model: ManifoldModel) -> HomologyClass:
-    if model.kind is not Kind.RULED:
-        raise LatticeError("section class exists only in the ruled model")
-    return _sparse_class(model, ((0, 1),))
-
-
-def fiber_class(model: ManifoldModel) -> HomologyClass:
-    if model.kind is not Kind.RULED:
-        raise LatticeError("fiber class exists only in the ruled model")
-    return _sparse_class(model, ((1, 1),))
-
-
 def exceptional_class(model: ManifoldModel, i: int) -> HomologyClass:
     return _sparse_class(model, ((model.exceptional_index(i), 1),))
-
-
-def anticanonical_class(model: ManifoldModel) -> HomologyClass:
-    """3L - sum(E_i) for the rational model; its square is 9 - blowups."""
-    if model.kind is not Kind.RATIONAL:
-        raise LatticeError("anticanonical helper is only provided for the rational model")
-    return _sparse_class(model, ((0, 3), *((j, -1) for j in range(1, model.rank))))

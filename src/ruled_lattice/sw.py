@@ -94,24 +94,10 @@ class CertifyResult(Record):
     verdict: Verdict
     dolgachev_m: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"verdict": self.verdict.value}
-        if self.dolgachev_m is not None:
-            out["dolgachev_m"] = self.dolgachev_m
-        return out
-
-
-def dolgachev_candidate(blowups: int, m: int) -> SphereCandidate:
-    """The square -4 family 3mL - m(E_1 + .. + E_9) - 2E_10, m >= 2."""
-    if blowups < 10:
-        raise SWError("the Dolgachev family needs at least 10 blowups")
-    if m < 2:
-        raise SWError("the Dolgachev family starts at m = 2")
-    return SphereCandidate(3 * m, (m,) * 9 + (2,) + (0,) * (blowups - 10))
-
 
 def dolgachev_parameter(c: SphereCandidate) -> Optional[int]:
-    """The family parameter if the normalized candidate lies in the family."""
+    """The parameter m >= 2 if the normalized candidate lies in the square -4
+    family 3mL - m(E_1 + .. + E_9) - 2E_10."""
     if c.blowups < 10 or c.k % 3 != 0:
         return None
     m = c.k // 3

@@ -44,7 +44,6 @@ from .lattice import (
     _check_length,
     _class_text,
     _dual,
-    _pair_coeffs,
     _reflection_matrix,
     _root_action,
     _sparse_class,
@@ -61,7 +60,7 @@ if TYPE_CHECKING:
     from .coxeter import CoxeterSystem
 
 # ``coxeter`` (with ``qsqrt2``) is imported only where a Coxeter system is
-# built, and ``fractions`` only by PeriodVector._fractions, so that
+# built, and ``fractions`` only by PeriodVector.dual_coefficients, so that
 # reductions, orbits and class moves load neither.
 
 
@@ -101,18 +100,11 @@ class GeneratorSet(Record):
         }
 
     @cached_property
-    def _roots(self) -> dict[str, Sparse]:
-        return dict(zip(self.names, self.roots))
-
-    @cached_property
     def _root_actions(self) -> dict[str, RootAction]:
-        return {name: _root_action(self.model, r) for name, r in self._roots.items()}
+        return {name: _root_action(self.model, r) for name, r in zip(self.names, self.roots)}
 
     def automorphism(self, name: str) -> LatticeAutomorphism:
         return _generator(self.automorphisms, name)
-
-    def class_of(self, name: str) -> HomologyClass:
-        return _sparse_class(self.model, _generator(self._roots, name))
 
     def root_action(self, name: str) -> RootAction:
         """The sparse action of one generator, see ``lattice.root_action``."""
@@ -418,8 +410,8 @@ class PeriodVector(Record):
     rational model, where ``line`` is the period over L and mu_i the one
     over E_i, resp. (fiber, section, -mu_1, ..., -mu_l) in the ruled one,
     with ``fiber`` over F and ``section`` over Y.  The constructor checks
-    its fields; ``rational_periods``, ``ruled_periods``, ``from_json_dict``
-    and ``from_dual_coefficients`` take exact rationals instead.  The
+    its fields; ``rational_periods``, ``ruled_periods`` and
+    ``from_json_dict`` take exact rationals instead.  The
     reflections are unimodular, so the library builds their images with
     ``_trusted``: they stay in lowest terms over the same denominator.
     """
@@ -437,39 +429,11 @@ class PeriodVector(Record):
         if gcd(d, *self.coeffs) != 1:
             raise LatticeError(f"{self.coeffs}/{d} is not in lowest terms")
 
-    def _fractions(self, nums) -> tuple[Fraction, ...]:
-        """``nums`` over the denominator, the one place that builds Fractions."""
+    def dual_coefficients(self) -> tuple[Fraction, ...]:
+        """``coeffs`` over the denominator, the one place that builds Fractions."""
         from fractions import Fraction
 
-        return tuple(Fraction(n, self.denominator) for n in nums)
-
-    @property
-    def head(self) -> tuple[Fraction, ...]:
-        """(line,) resp. (fiber, section)."""
-        return self._fractions(self.coeffs[: self.model.head])
-
-    @property
-    def exceptional(self) -> tuple[Fraction, ...]:
-        """(mu_1, ..., mu_l)."""
-        return self._fractions(-c for c in self.coeffs[self.model.head :])
-
-    def dual_coefficients(self) -> tuple[Fraction, ...]:
-        return self._fractions(self.coeffs)
-
-    @classmethod
-    def from_dual_coefficients(
-        cls, model: ManifoldModel, coeffs: Sequence
-    ) -> "PeriodVector":
-        coeffs = tuple(coeffs)
-        _check_length(model, coeffs)
-        h = model.head
-        return _periods(model, coeffs[:h], coeffs[h:], sign=1)
-
-    def period_of(self, c: HomologyClass) -> Fraction:
-        """The period over an integral class (pairing with the dual class)."""
-        if c.model != self.model:
-            raise ModelMismatchError("class and periods disagree on the model")
-        return self._fractions((_pair_coeffs(self.model, self.coeffs, c.coeffs),))[0]
+        return tuple(Fraction(n, self.denominator) for n in self.coeffs)
 
     def wall_periods(self) -> tuple[int, ...]:
         """The periods over the generator classes s0..s_l, times ``denominator``:
@@ -521,14 +485,12 @@ class PeriodVector(Record):
             raise LatticeError(f"malformed period JSON: {exc}") from exc
 
 
-def _periods(
-    model: ManifoldModel, head: Sequence, mus: Sequence, sign: int = -1
-) -> PeriodVector:
+def _periods(model: ManifoldModel, head: Sequence, mus: Sequence) -> PeriodVector:
     """The one reader of exact periods, over their least common denominator.
 
-    The dual coefficients are ``head`` followed by ``sign * mus``; every
-    entry goes through ``read_period``.  Putting lowest-terms rationals
-    over their lcm leaves the integers in lowest terms.
+    The dual coefficients are ``head`` followed by ``-mus``; every entry
+    goes through ``read_period``.  Putting lowest-terms rationals over
+    their lcm leaves the integers in lowest terms.
     """
     mus = [read_period(x) for x in mus]
     if len(mus) != model.blowups:
@@ -539,7 +501,7 @@ def _periods(
     d = lcm(*(q for _, q in values))
     coeffs = [p * (d // q) for p, q in values]
     h = len(head)
-    coeffs[h:] = [sign * c for c in coeffs[h:]]
+    coeffs[h:] = [-c for c in coeffs[h:]]
     return PeriodVector._trusted(model, tuple(coeffs), d)
 
 
@@ -592,8 +554,10 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     bubble-sort the exceptional slots (c[j] > c[j+1] means mu_i < mu_{i+1}),
     the twist s_l negates a positive last slot, and s0 adds its negative
     period times s0 to ``c``.  These closed forms are the walls' one copy
-    outside ``generator_set``, whose one table names the letters, replays
-    the word (InternalConsistencyError if it strays) and checks the result.
+    outside ``generator_set``, whose table replays the word by its roots
+    (InternalConsistencyError if it strays) and checks the result.  Letters
+    and flags are spelled by slot, s_i for generator i, so a table whose
+    names disagree with its roots fails the replay.
     s0 (L - E1 - E2 - E3, resp. F - E1 - E2) is the only step that depends
     on the model.  The head period that s0 strictly decreases (line resp.
     section) is a positive integer throughout: it bounds the wall crossings.
@@ -608,7 +572,7 @@ def reduce_periods(p: PeriodVector) -> PeriodReduction:
     c = list(p.coeffs)
     last = len(c) - 1
     # s_i swaps the slots h+i-1 and h+i
-    names = gens.names
+    names = tuple(f"s{i}" for i in range(p.model.blowups + 1))
     letters: list[str] = []
     while True:
         swapped = True
@@ -804,11 +768,6 @@ class LagrangianSystem(Record):
             return "trivial"
         return "+".join(self.components)
 
-    @property
-    def member_classes(self) -> tuple[HomologyClass, ...]:
-        """The rank-length member classes, built afresh from the roots."""
-        return tuple(_sparse_class(self.model, r) for r in self.member_roots)
-
     def members(self) -> Iterator[tuple[str, str]]:
         """Each member's name and class text, read off its root."""
         for name, root in zip(self.member_names, self.member_roots):
@@ -827,13 +786,13 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     """Wall classes with zero period, assembled into a Coxeter system.
 
     Input must satisfy the period conditions (reduce first) and lie in the
-    open positive cone, checked in that order.  Members keep their generator
-    names; the twist wall E_l is excluded because its class has square -1,
-    not -2, so it never bounds a Lagrangian sphere system.  The members are
-    simple reflections, so their graph is the presentation's graph on them
-    (a parabolic subgroup); its 4-edges all touch the twist.
+    open positive cone, checked in that order.  Member i is named s_i, as
+    generator i is; the twist wall E_l is excluded because its class has
+    square -1, not -2, so it never bounds a Lagrangian sphere system.  The
+    members are simple reflections, so their graph is the presentation's
+    graph on them (a parabolic subgroup); its 4-edges all touch the twist.
     """
-    # one generator table gives the wall periods and the member names and roots
+    # one generator table gives the wall periods and the member roots
     gens = generator_set(p.model)
     walls = p._pair_roots(gens.roots)
     if min(walls) < 0:
@@ -841,7 +800,7 @@ def lagrangian_system(p: PeriodVector) -> LagrangianSystem:
     _require_cone(p)
     # the twist s_l, the last wall, is never a member
     zero = [i for i, w in enumerate(walls[:-1]) if w == 0]
-    names = tuple(gens.names[i] for i in zero)
+    names = tuple(f"s{i}" for i in zero)
     at = {i: k for k, i in enumerate(zero)}
     graph = expected_coxeter_system(p.model).pairs
     pairs = {(at[i], at[j]): m for (i, j), m in graph.items() if i in at and j in at}

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from test_catalog import random_o12_word
+from test_sw import dolgachev_candidate
 
 from ruled_lattice import coxeter
 from ruled_lattice.catalog import decompose_O12, evaluate_o12_word
@@ -31,7 +32,6 @@ from ruled_lattice.lattice import (
 from ruled_lattice.sw import (
     SphereCandidate,
     dichotomy_search,
-    dolgachev_candidate,
     sw_inequality_holds,
 )
 from ruled_lattice.weyl import (

@@ -19,7 +19,6 @@ from ruled_lattice.catalog import (
     describe_diffeotopy,
     evaluate_o12_word,
     homotopically_trivial_part,
-    o12_generators,
     o12_model,
     O12_GENERATOR_NAMES,
 )
@@ -27,10 +26,10 @@ from ruled_lattice.lattice import (
     HomologyClass,
     LatticeAutomorphism,
     rational_model,
-    reflection_along,
     ruled_model,
 )
 from ruled_lattice.weyl import GroupWord
+from test_lattice import reflection_along
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,7 @@ def test_homotopically_trivial_part():
 
 
 def test_o12_generators_are_involutions():
-    gens = o12_generators()
+    gens = catalog._o12_gens().automorphisms
     assert set(gens) == set(O12_GENERATOR_NAMES)
     ident = LatticeAutomorphism.identity(o12_model())
     for g in gens.values():
@@ -191,11 +190,7 @@ def test_o12_generators_are_the_three_reflections():
     model = o12_model()
     mirrors = {"s1": (0, 1, -1), "s2": (0, 0, 1), "s0*": (1, -1, -1)}
     expected = {n: reflection_along(HomologyClass(model, c)) for n, c in mirrors.items()}
-    gens = o12_generators()
-    assert gens == expected
-    # a copy: changing it leaves the cached generators alone
-    gens.clear()
-    assert o12_generators() == expected
+    assert catalog._o12_gens().automorphisms == expected
     assert evaluate_o12_word(GroupWord(("s0*",))) == expected["s0*"]
 
 
@@ -205,7 +200,7 @@ def test_decompose_identity_is_empty():
 
 
 def test_decompose_single_generators():
-    gens = o12_generators()
+    gens = catalog._o12_gens().automorphisms
     for name, g in gens.items():
         word = decompose_O12(g)
         assert evaluate_o12_word(word) == g
@@ -229,7 +224,7 @@ def _dense_descent(m: LatticeAutomorphism) -> tuple[str, ...]:
     """The descent of ``decompose_O12`` over dense products, ``g @ current``
     per letter, with the residual looked up by its whole matrix: the
     reference the root-action descent must match letter for letter."""
-    gens = o12_generators()
+    gens = catalog._o12_gens().automorphisms
     spelled = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1", "s2 s1 s2", "s1 s2 s1 s2")
     residuals = {evaluate_o12_word(GroupWord(w.split())).matrix: tuple(w.split()) for w in spelled}
     current, descent = m, []

@@ -82,27 +82,62 @@ def test_coxeter_finite_exits_3_when_the_two_routes_disagree(capsys, monkeypatch
     assert err == "internal consistency failure: graph classification and Gram pivot signs disagree\n"
 
 
-def test_reduce_periods_exits_3_when_its_word_does_not_replay(capsys, monkeypatch):
+def _swap_s1_s2(monkeypatch, field):
+    """Make ``weyl.generator_set`` return tables in which s1 and s2 exchange
+    their ``field``, "names" or "roots", and keep everything else."""
     from ruled_lattice import weyl
 
-    # a table whose s1 and s2 name each other's root: the kernel still calls
-    # its swap of E1 and E2 s1, which this table reads as E2 - E3
     real = weyl.generator_set
 
-    def corrupted(model):
+    def swapped(model):
         gens = real(model)
-        roots = list(gens.roots)
-        roots[1], roots[2] = roots[2], roots[1]
-        return weyl.GeneratorSet(model, gens.names, tuple(roots))
+        parts = {"names": list(gens.names), "roots": list(gens.roots)}
+        parts[field][1], parts[field][2] = parts[field][2], parts[field][1]
+        return weyl.GeneratorSet(model, tuple(parts["names"]), tuple(parts["roots"]))
 
+    monkeypatch.setattr(weyl, "generator_set", swapped)
+
+
+def test_reduce_periods_exits_3_when_its_word_does_not_replay(capsys, monkeypatch):
+    # a table whose s1 and s2 name each other's root: the kernel still calls
+    # its swap of E1 and E2 s1, which this table reads as E2 - E3
     argv = ("reduce-periods", "--model=rational", "--ell=3", "--periods=6,1,2,2")
     assert run(capsys, *argv)[0] == EXIT_OK
-    monkeypatch.setattr(weyl, "generator_set", corrupted)
+    _swap_s1_s2(monkeypatch, "roots")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == (
         "internal consistency failure: the word of (6; 1,2,2) does not replay on its generators\n"
     )
+
+
+def test_reduce_periods_exits_3_on_a_table_whose_names_are_permuted(capsys, monkeypatch):
+    # the letters are spelled by slot, so the table's names are checked by
+    # the replay: read off the table, the word would be "s2 s1" with exit 0
+    argv = ("reduce-periods", "--model=rational", "--ell=3", "--periods=6,1,2,2")
+    assert run(capsys, *argv)[:2] == (
+        EXIT_OK, "input:    (6; 1,2,2)\nreduced:  (6; 2,2,1)\nword:     s1 s2\nboundary: s1\n"
+    )
+    _swap_s1_s2(monkeypatch, "names")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (
+        "internal consistency failure: the word of (6; 1,2,2) does not replay on its generators\n"
+    )
+
+
+def test_lagrangian_system_names_its_members_by_slot(capsys, monkeypatch):
+    # the table gives only the roots: its names leave the output alone
+    argv = ("lagrangian-system", "--model=rational", "--ell=5", "--periods=3,1,1,1,1,1")
+    clean = run(capsys, *argv)
+    assert clean[0] == EXIT_OK and "  s1: E1 - E2\n  s2: E2 - E3\n" in clean[1]
+    _swap_s1_s2(monkeypatch, "names")
+    assert run(capsys, *argv) == clean
+
+
+def test_coxeter_finite_refuses_a_chain_of_rank_0(capsys):
+    code, out, err = run(capsys, "coxeter-finite", "--system=L0")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: L_k needs k >= 1\n")
 
 
 def test_lagrangian_container_of_e8_alone(capsys):
@@ -638,7 +673,6 @@ def test_reflect_at_high_rank_uses_the_root_action(capsys, monkeypatch):
     def dense(*args):
         raise AssertionError("reflect built a dense matrix")
 
-    monkeypatch.setattr(lattice, "reflection_along", dense)
     monkeypatch.setattr(lattice.LatticeAutomorphism, "__init__", dense)
     l = 3000
     mirror = [1, -1, -1] + [0] * (l - 2)  # L - E1 - E2, square -1

@@ -287,6 +287,15 @@ def test_from_name_rejects_junk():
             from_name(bad)
 
 
+def test_from_name_refuses_a_chain_below_rank_1():
+    # the rank rule comes before the label count, as a family's n >= 1 does
+    for name in ("L0", "l0", "L0-3", "L00"):
+        with pytest.raises(CoxeterError) as info:
+            from_name(name)
+        assert str(info.value) == "L_k needs k >= 1", name
+    assert from_name("L1").rank == 1
+
+
 @pytest.mark.parametrize(
     "name,message",
     [

@@ -32,7 +32,7 @@ def _samples() -> dict:
     return {
         lattice.ManifoldModel: (Kind.RULED, 2, 1),
         lattice.HomologyClass: (model, (1, 0, 0, -1)),
-        lattice.LatticeAutomorphism: (model, lattice.reflection_along(e1).matrix),
+        lattice.LatticeAutomorphism: (model, gens.automorphisms["s3"].matrix),
         weyl.GeneratorSet: (gens.model, gens.names, gens.roots),
         weyl.GroupWord: (("s0", "s1"),),
         weyl.PresentationEntry: ("s0", "s1", coxeter.INF, None),

@@ -322,8 +322,9 @@ def positive_cone_contains(c: HomologyClass) -> bool:
     Rational model: the leading coefficient is positive and the square of the
     class is positive.  Ruled model: the Y-coefficient s is positive and
     s*n > sum(mu_i^2) where n is the F-coefficient and mu_i the (negated)
-    exceptional coefficients; this is strictly smaller than the square-positive
-    cone, matching the image of actual symplectic forms.
+    exceptional coefficients.  The reflections keep the square 2*s*n -
+    sum(mu_i^2), not s*n - sum(mu_i^2): Y + F is accepted and its s0 image
+    Y + 2F - E1 - E2, of the same square 2, refused (the ruled cone defect).
 
     Both tests are unchanged by positive rescaling, so a period vector is
     tested through the class of its integer dual coefficients.

@@ -168,14 +168,13 @@ class GroupWord(Record):
         return acc
 
     def apply_to_coeffs(self, gens: GeneratorSet, coeffs: Sequence) -> tuple:
-        # dense on purpose, for now: over root actions it is about 10x faster,
-        # but the benchmark worker keeps a record per op, so its peak memory
-        # grows with throughput past its bound until that worker is bounded
+        # the word's integer matrix, applied once: Fractions meet one product,
+        # not one a letter.  At rank^3 integer work a letter it is slower than
+        # that above rank ~55.  Root actions are faster still, but the benchmark
+        # worker keeps a record per op, so its peak memory would pass its bound
         out = tuple(coeffs)
         _check_length(gens.model, out)
-        for letter in self.letters:
-            out = gens.automorphism(letter)._product(out)
-        return out
+        return self.evaluate(gens)._product(out)
 
     def to_json_list(self) -> list[str]:
         return list(self.letters)

@@ -91,7 +91,7 @@ class ManifoldModel(Record):
         try:
             kind = Kind(data["kind"])
             blowups = data["blowups"]
-            genus = data.get("genus", 0)
+            genus = data.get("genus", 0 if kind is Kind.RATIONAL else 1)
         except (KeyError, TypeError, ValueError) as exc:
             raise LatticeError(f"malformed model JSON: {exc}") from exc
         return cls(kind, blowups, genus)
@@ -178,22 +178,10 @@ def _same_model(a, b) -> None:
         raise ModelMismatchError(f"model mismatch: {a.model} vs {b.model}")
 
 
-def _pair_coeffs(model: ManifoldModel, u: Sequence, v: Sequence):
-    # inlined bilinear form; works for int and Fraction coefficients alike:
-    # the head pairs slot i with slot h-1-i (L.L, resp. Y.F = F.Y = 1)
-    h = model.head
-    acc = 0
-    for i in range(h):
-        acc += u[i] * v[h - 1 - i]
-    for i in range(h, model.rank):
-        acc -= u[i] * v[i]
-    return acc
-
-
 def pairing(a: HomologyClass, b: HomologyClass) -> int:
     """Intersection number a.b."""
     _same_model(a, b)
-    return _pair_coeffs(a.model, a.coeffs, b.coeffs)
+    return _pair(a.model.head, a.coeffs, enumerate(b.coeffs))
 
 
 class LatticeAutomorphism(Record):
@@ -242,7 +230,7 @@ class LatticeAutomorphism(Record):
         for i, col in enumerate(cols):
             ((k, g),) = _dual(model.head, ((i, 1),))
             for j in range(i, model.rank):
-                if _pair_coeffs(model, col, cols[j]) != (g if j == k else 0):
+                if _pair(model.head, col, enumerate(cols[j])) != (g if j == k else 0):
                     return False
         return True
 
@@ -304,6 +292,13 @@ def _dual(head: int, support) -> Sparse:
     return tuple((head - 1 - i, c) if i < head else (i, -c) for i, c in support)
 
 
+def _pair(head: int, u: Sequence, pairs):
+    """u.v for the class v with these (slot, coefficient) pairs, summed over
+    ``_dual``; int and Fraction entries alike.  Every pairing reads the form
+    here, but for the kernels that hold a root action's dual half."""
+    return sum(u[j] * g for j, g in _dual(head, pairs))
+
+
 def reflect_coeffs(action: RootAction, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Apply a ``root_action`` to a coefficient vector."""
     dual, shift = action
@@ -333,8 +328,7 @@ def positive_cone_contains(c: HomologyClass) -> bool:
         raise LatticeError(f"cannot test cone membership of {c!r}")
     coeffs = c.coeffs
     if c.model.kind is Kind.RATIONAL:
-        lead = coeffs[0]
-        return lead > 0 and lead * lead > sum(x * x for x in coeffs[1:])
+        return coeffs[0] > 0 and c.square > 0
     s, n = coeffs[0], coeffs[1]
     return s > 0 and s * n > sum(x * x for x in coeffs[2:])
 

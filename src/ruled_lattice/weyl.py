@@ -43,7 +43,7 @@ from .lattice import (
     _check_int_coeffs,
     _check_length,
     _class_text,
-    _dual,
+    _pair,
     _reflection_matrix,
     _root_action,
     _sparse_class,
@@ -446,7 +446,7 @@ class PeriodVector(Record):
     def _pair_roots(self, roots: Iterable[Sparse]) -> tuple[int, ...]:
         """``coeffs`` paired with each root, on the root's slots."""
         c, h = self.coeffs, self.model.head
-        return tuple(sum(c[j] * g for j, g in _dual(h, r)) for r in roots)
+        return tuple(_pair(h, c, r) for r in roots)
 
     def satisfies_period_conditions(self) -> bool:
         return min(self.wall_periods()) >= 0
@@ -711,8 +711,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
             apply(_fiber_step_word(l, increment=coeffs[1] < 0))
         return land(1, "ruled")
 
-    # rational model; crossing s0 adds x.s0, the sum over its dual half, to k
-    s0_dual = gens.root_action("s0")[0]
+    # rational model; crossing s0 adds x.s0 to k
     while True:
         k = coeffs[0]
         if k == 0:
@@ -731,7 +730,7 @@ def reduce_class(gens: GeneratorSet, c: HomologyClass) -> ClassReduction:
                 if sign * coeffs[i] > sign * coeffs[i + 1]:
                     apply([f"s{i}"])
                     swapped = True
-        gap = sum(coeffs[j] * g for j, g in s0_dual)
+        gap = _pair(model.head, coeffs, gens.roots[0])
         if sign * gap >= 0:
             return ClassReduction(
                 False,

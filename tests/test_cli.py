@@ -589,6 +589,119 @@ def test_input_crystal_is_validated(capsys, monkeypatch, crystal, message):
     assert err == f"error: {message}\n"
 
 
+_PAIR_PAYLOAD = {"a": [1, 0, 0, 0], "b": [1, 0, 0, 0]}
+
+# (argv, stdin payload or None, exit code, the start of the one error line,
+# resp. a piece of stdout)
+INPUT_PATH_CASES = [
+    (
+        ("pair", "--model=rational", "--ell=1", "--a=1,x", "--b=1,0"),
+        None,
+        EXIT_USAGE,
+        "error: expected comma-separated integers, got '1,x'",
+    ),
+    (
+        ("manifold-info", "--model=rational", "--ell=3", "--genus=2"),
+        None,
+        EXIT_USAGE,
+        "error: the rational model has genus 0; drop --genus",
+    ),
+    (("sw-check", "--input", "-"), {"k": "3", "m": [1]}, EXIT_USAGE, "error: 'k' must be"),
+    (("sw-check", "--input", "-"), {"k": 3, "m": [1, "x"]}, EXIT_USAGE, "error: 'm' must be"),
+    (
+        ("manifold-info", "--model=rational", "--ell=2"),
+        None,
+        EXIT_OK,
+        "generators: none (the rational generator set needs at least 3 blowups)",
+    ),
+    (("manifold-info", "--model=rational", "--ell=2", "--json"), None, EXIT_OK, '"generators": null'),
+    (
+        ("orbit", "--input", "-"),
+        {"model": {"kind": "rational", "blowups": 3}, "seed": [0, 1, 0, 0], "bound": 2,
+         "generators": "s0"},
+        EXIT_USAGE,
+        "error: 'generators' must be a JSON array of names",
+    ),
+    (
+        ("reduce-periods", "--model=rational", "--ell=3", "--periods=1,2"),
+        None,
+        EXIT_USAGE,
+        "error: expected 4 periods for this model, got 2",
+    ),
+    (("sw-check", "--k=1", "--m=1,1"), None, EXIT_OK, "genus bound: out of regime (k < 2)"),
+    (("decompose-o12", "--input", "-"), {"matrix": 5}, EXIT_USAGE, "error: 'matrix' must be"),
+    (("decompose-o12", "--matrix=1,0,0;0,1,0"), None, EXIT_USAGE, "error: matrix must be 3x3"),
+    (
+        ("pair", "--input", "/nonexistent/x.json"),
+        None,
+        EXIT_USAGE,
+        "error: cannot read '/nonexistent/x.json': ",
+    ),
+    (("pair", "--input", "-"), [1, 2], EXIT_USAGE, "error: input payload must be a JSON object"),
+    (("coxeter-finite", "--system=Lx-3"), None, EXIT_USAGE, "error: cannot parse rank in 'Lx-3'"),
+    (
+        ("pair", "--input", "-"),
+        {"model": {"kind": "rational", "blowups": 3.0}, **_PAIR_PAYLOAD},
+        EXIT_USAGE,
+        "error: blowups must be an integer",
+    ),
+    (
+        ("pair", "--input", "-"),
+        {"model": {"kind": "rational", "blowups": 3, "genus": True}, **_PAIR_PAYLOAD},
+        EXIT_USAGE,
+        "error: genus must be an integer",
+    ),
+    (
+        ("reduce-class", "--input", "-"),
+        {"target": {"coeffs": [0, 0, 0, 1]}},
+        EXIT_USAGE,
+        "error: malformed class JSON: 'model'",
+    ),
+    (
+        ("reduce-class", "--model=rational", "--ell=10",
+         "--coeffs=3,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1", "--json"),
+        None,
+        EXIT_OK,
+        '"in_orbit": false',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,payload,code,expected", INPUT_PATH_CASES, ids=[case[0][0] for case in INPUT_PATH_CASES]
+)
+def test_input_paths(capsys, monkeypatch, argv, payload, code, expected):
+    # flag and payload readings that no other test reaches: a refusal prints
+    # one error line, and a --json payload replays byte for byte
+    monkeypatch.setattr("sys.stdin", io.StringIO("" if payload is None else json.dumps(payload)))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert out == ""
+        assert err.startswith(expected) and err.count("\n") == 1
+        return
+    assert err == "" and expected in out
+    if "--json" in argv:
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert run(capsys, argv[0], "--input", "-", "--json") == (code, out, "")
+
+
+def test_a_ruled_payload_without_genus_reads_genus_1(capsys, monkeypatch):
+    # as --model=ruled does without --genus
+    flags = ("manifold-info", "--model=ruled", "--ell=3")
+    payload = json.dumps({"model": {"kind": "ruled", "blowups": 3}})
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    text = run(capsys, "manifold-info", "--input", "-")
+    assert text == run(capsys, *flags)
+    assert text[0] == EXIT_OK and "genus:    1" in text[1]
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, _ = run(capsys, "manifold-info", "--input", "-", "--json")
+    # the payload echoes its input as given, so only the results agree
+    expected = json.loads(run(capsys, *flags, "--json")[1])["result"]
+    assert (code, json.loads(out)["result"]) == (EXIT_OK, expected)
+
+
 def test_input_from_stdin(capsys, monkeypatch, tmp_path):
     import io
 

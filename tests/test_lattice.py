@@ -132,6 +132,9 @@ def test_head_is_the_one_basis_layout(kind):
 def test_model_json_round_trip():
     for model in (R3, ruled_model(4, genus=2)):
         assert ManifoldModel.from_json_dict(model.to_json_dict()) == model
+    # a payload without a genus gets its kind's default, as the flags do
+    assert ManifoldModel.from_json_dict({"kind": "ruled", "blowups": 3}) == ruled_model(3)
+    assert ManifoldModel.from_json_dict({"kind": "rational", "blowups": 3}) == R3
     with pytest.raises(LatticeError):
         ManifoldModel.from_json_dict({"kind": "elliptic", "blowups": 1})
 

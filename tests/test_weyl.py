@@ -43,7 +43,7 @@ from ruled_lattice.weyl import (
     ruled_periods,
     verify_presentation,
 )
-from test_lattice import reflection_along
+from test_lattice import _reference_gram, reflection_along
 
 R3 = rational_model(3)
 R5 = rational_model(5)
@@ -61,8 +61,13 @@ def member_classes(sys):
 
 
 def period_of(p, c):
-    """The period of ``p`` over the class ``c``: its dual class paired with c."""
-    return Fraction(pairing(HomologyClass(p.model, p.coeffs), c), p.denominator)
+    """The period of ``p`` over the class ``c``: its dual class paired with c
+    through ``_reference_gram``, written out from the basis names, so the
+    wall periods, which read ``lattice._dual``, meet a route of their own."""
+    if c.model != p.model:
+        raise ModelMismatchError(f"model mismatch: {p.model} vs {c.model}")
+    rows = zip(p.coeffs, _reference_gram(p.model))
+    return Fraction(sum(x * g * y for x, row in rows for g, y in zip(row, c.coeffs)), p.denominator)
 
 
 def _lin(*terms):
@@ -754,8 +759,8 @@ def cone_periods(draw, kinds=("rational", "ruled"), max_ruled=7):
 @settings(max_examples=150, deadline=None)
 def test_reduction_properties(p):
     g = generator_set(p.model)
-    # the wall periods, paired on the roots' dual halves, against the dense
-    # pairing with each rank-length generator class
+    # the wall periods, paired on the roots' dual halves, against period_of's
+    # written-out Gram matrix with each rank-length generator class
     assert [Fraction(w, p.denominator) for w in p.wall_periods()] == [
         period_of(p, c) for c in g.classes
     ]
@@ -781,7 +786,7 @@ def ruled_isometry_cases(draw):
 @given(ruled_isometry_cases())
 @settings(max_examples=100, deadline=None)
 def test_ruled_computations_through_the_isometry_into_rational(case):
-    # the ruled paths that hang on head = 2 (_pair_coeffs, _dual, the head
+    # the ruled paths that hang on head = 2 (_dual, _pair over it, the head
     # branch of _root_action) against the rational computation on the images
     # in rational l + 1; the cone is left out, since the coded ruled cone is
     # not the pullback of the rational one (the ruled cone defect)
@@ -802,6 +807,77 @@ def test_ruled_computations_through_the_isometry_into_rational(case):
             moved = reflect_coeffs(gens.root_action(name), x)
             assert image(moved).coeffs == reflect_coeffs(action, image(x).coeffs), name
     assert p.wall_periods() == tuple(pairing(image(p.coeffs), r) for r in roots)
+
+
+def _ruled_letters_in_rational(l: int) -> dict:
+    """Each ruled generator as the rational l + 1 reflection along its root's
+    image: s0 along E1 - E3, s1 the rational s0 and s_i the rational s_{i+1}."""
+    rational = generator_set(rational_model(l + 1))
+    e1_e3 = HomologyClass(rational.model, (0, 1, 0, -1) + (0,) * (l - 2))
+    letters = {"s0": lattice.root_action(e1_e3), "s1": rational.root_action("s0")}
+    letters.update({f"s{i}": rational.root_action(f"s{i + 1}") for i in range(2, l + 1)})
+    return letters
+
+
+@st.composite
+def ruled_word_cases(draw):
+    """A ruled cone point at l = 2..7 and an image of E_l under a random word."""
+    p = draw(cone_periods(kinds=("ruled",)))
+    gens = generator_set(p.model)
+    c = exceptional_class(p.model, p.model.blowups).coeffs
+    for letter in draw(st.lists(st.sampled_from(gens.names), max_size=12)):
+        c = reflect_coeffs(gens.root_action(letter), c)
+    return p, HomologyClass(p.model, c)
+
+
+@given(ruled_word_cases())
+@settings(max_examples=100, deadline=None)
+def test_ruled_words_through_the_isometry_into_rational(case):
+    # the words reduce_periods and reduce_class certify on ruled l, each
+    # letter replayed as the reflection along its root's image in rational
+    # l + 1, move the image of the input onto the image of the output
+    p, c = case
+    images = _ruled_into_rational(p.model.blowups)
+    letters = _ruled_letters_in_rational(p.model.blowups)
+
+    def image(coeffs):
+        return _lin(*zip(coeffs, images)).coeffs
+
+    def replay(word, coeffs):
+        x = image(coeffs)
+        for letter in word.letters:
+            x = reflect_coeffs(letters[letter], x)
+        return x
+
+    red = reduce_periods(p)
+    assert replay(red.word, p.coeffs) == image(red.reduced.coeffs)
+    moved = reduce_class(generator_set(p.model), c)
+    assert moved.in_orbit
+    assert replay(moved.word, c.coeffs) == image(moved.canonical.coeffs)
+
+
+def test_every_pairing_reads_the_one_copy_of_the_form(monkeypatch):
+    # with lattice._dual patched to -G, every reading of the form follows it:
+    # a second copy of G anywhere would keep the old sign
+    a, b = HomologyClass(R3, (3, -1, -1, -1)), HomologyClass(R3, (1, 2, 0, -1))
+    u, v = HomologyClass(U2, (1, 2, -1, 0)), HomologyClass(U2, (0, 1, 3, -1))
+    p, q = rational_periods(3, 7, (3, 2, 1)), ruled_periods(2, 2, 5, (1, 1))
+    edge = HomologyClass(R3, (1, -1, -1, 0))  # square -1, outside the cone
+
+    def readings():
+        pairings = (pairing(a, b), pairing(u, v), a.square, u.square)
+        return (*pairings, *p.wall_periods(), *q.wall_periods())
+
+    before = readings()
+    assert positive_cone_contains(a) and not positive_cone_contains(edge)
+    dual = lattice._dual
+    monkeypatch.setattr(
+        lattice, "_dual", lambda head, support: tuple((j, -g) for j, g in dual(head, support))
+    )
+    assert readings() == tuple(-x for x in before)
+    assert not positive_cone_contains(a) and positive_cone_contains(edge)
+    for model in (R3, U2):
+        assert LatticeAutomorphism.identity(model).preserves_form()
 
 
 def _reference_descent(p):

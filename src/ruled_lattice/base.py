@@ -6,9 +6,10 @@ so they live here, away from the modules that define the mathematics;
 each is re-exported from its home module.  ``Record`` is the base of every
 value type in the package.  ``INF`` and the two rational helpers are here
 so that ``weyl`` and ``qsqrt2`` need neither ``coxeter`` nor ``fractions``
-(with ``decimal`` and ``numbers``) until a caller asks for a ``Fraction``.
-``is_int_text`` is the one integer-spelling rule of the command line and
-the period reader.
+(with ``decimal`` and ``numbers``): ``rational_text`` spells an int
+quotient for both, and ``is_fraction`` serves only ``weyl.read_period``,
+which takes a ``Fraction`` when a caller passes one.  ``is_int_text`` is
+the one integer-spelling rule of the command line and the period reader.
 """
 
 import sys

@@ -17,6 +17,7 @@ evaluates to a product of matrices with the first-applied matrix rightmost.
 from __future__ import annotations
 
 import enum
+import sys
 from functools import cached_property
 from typing import Sequence
 
@@ -56,6 +57,8 @@ class ManifoldModel(Record):
             raise LatticeError("blowups must be an integer")
         if self.blowups < 0:
             raise LatticeError("blowups must be non-negative")
+        if self.rank > sys.maxsize:  # every basis and matrix is indexed by slot
+            raise LatticeError(f"blowups must be at most {sys.maxsize - self.head}")
         if not isinstance(self.genus, int) or isinstance(self.genus, bool):
             raise LatticeError("genus must be an integer")
         if self.kind is Kind.RATIONAL and self.genus != 0:
@@ -185,7 +188,11 @@ def pairing(a: HomologyClass, b: HomologyClass) -> int:
 
 
 class LatticeAutomorphism(Record):
-    """An integer matrix acting on coefficient column vectors from the left."""
+    """An integer matrix acting on coefficient column vectors from the left.
+
+    The constructor validates the matrix, as for ``--matrix``; the identity,
+    products and reflection matrices the library derives are ``_trusted``.
+    """
 
     model: ManifoldModel
     matrix: tuple[tuple[int, ...], ...]
@@ -200,7 +207,7 @@ class LatticeAutomorphism(Record):
     @classmethod
     def identity(cls, model: ManifoldModel) -> "LatticeAutomorphism":
         n = model.rank
-        return cls(model, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._trusted(model, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def apply_coeffs(self, coeffs: Sequence) -> tuple:
         """Matrix-vector product; accepts integer or Fraction entries."""
@@ -221,7 +228,7 @@ class LatticeAutomorphism(Record):
             tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
             for row in self.matrix
         )
-        return LatticeAutomorphism(self.model, rows)
+        return LatticeAutomorphism._trusted(self.model, rows)
 
     def preserves_form(self) -> bool:
         """Whether columns i <= j pair to the form's entry G_ij; G e_i, read
@@ -256,7 +263,7 @@ def _reflection_matrix(model: ManifoldModel, action: RootAction) -> LatticeAutom
     for i, c in shift:
         for j, g in dual:
             rows[i][j] += c * g
-    return LatticeAutomorphism(model, tuple(map(tuple, rows)))
+    return LatticeAutomorphism._trusted(model, tuple(map(tuple, rows)))
 
 
 def root_action(s: HomologyClass) -> RootAction:

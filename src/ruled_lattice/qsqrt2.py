@@ -9,52 +9,29 @@ rational coordinates explicit, as integers over one denominator.
 
 from __future__ import annotations
 
-from functools import total_ordering
-from math import gcd, lcm
+from math import gcd
 
-from .base import is_fraction, rational_text
+from .base import rational_text
 
 
-@total_ordering
 class QSqrt2:
-    """A number a + b*sqrt(2) with a, b rational, compared exactly.
+    """A number (p + q*sqrt(2)) / d with integers p, q, d, compared exactly.
 
-    Stored as integers ``(a*d, b*d, d)`` over the least positive common
-    denominator ``d``, so equal numbers have equal fields.  Only ``a``,
-    ``b``, ``repr`` and the hash of a rational non-integer build
-    ``Fraction``s, importing ``fractions`` on first use; so does the
-    constructor when given anything but two ints.
+    The constructor takes two ints, ``QSqrt2(p, q)`` for p + q*sqrt2; a
+    non-integer value is a quotient, ``QSqrt2(3) / 4``.  Values are kept in
+    lowest terms with ``d > 0``, so equal numbers have equal fields.
     """
 
     __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a=0, b=0) -> None:
-        d = 1
+    def __init__(self, a: int = 0, b: int = 0) -> None:
         if type(a) is not int or type(b) is not int:
-            from fractions import Fraction
-
-            a, b = Fraction(a), Fraction(b)
-            # over the lcm, lowest-terms a and b stay in lowest terms jointly
-            d = lcm(a.denominator, b.denominator)
-            a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        self._p, self._q, self._d = a, b, d
-
-    @property
-    def a(self):
-        """The rational part, a ``Fraction``."""
-        from fractions import Fraction
-
-        return Fraction(self._p, self._d)
-
-    @property
-    def b(self):
-        """The sqrt2 coefficient, a ``Fraction``."""
-        from fractions import Fraction
-
-        return Fraction(self._q, self._d)
+            raise TypeError(f"QSqrt2 takes two ints, got {a!r} and {b!r}")
+        self._p, self._q, self._d = a, b, 1
 
     def __repr__(self) -> str:
-        return f"QSqrt2({self.a!r}, {self.b!r})"
+        text = f"QSqrt2({self._p}, {self._q})"
+        return text if self._d == 1 else f"{text} / {self._d}"
 
     def __str__(self) -> str:
         p, q, d = self._p, self._q, self._d
@@ -66,9 +43,6 @@ class QSqrt2:
         return f"{rational_text(p, d)} {sign} {rational_text(abs(q), d)}*sqrt2"
 
     def __hash__(self) -> int:
-        # rational values compare equal to Fraction/int, so hash like them
-        if self._q == 0:
-            return hash(self._p) if self._d == 1 else hash(self.a)
         return hash((self._p, self._q, self._d))
 
     def __eq__(self, other: object) -> bool:
@@ -76,12 +50,6 @@ class QSqrt2:
         if other is None:
             return NotImplemented
         return self._p == other._p and self._q == other._q and self._d == other._d
-
-    def __lt__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (other - self).sign() > 0
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1.
@@ -106,11 +74,8 @@ class QSqrt2:
             return (b > 0) - (b < 0)
         return 0  # unreachable for a, b != 0 since sqrt2 is irrational
 
-    def is_zero(self) -> bool:
-        return self._p == 0 and self._q == 0
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._p != 0 or self._q != 0
 
     def __neg__(self) -> "QSqrt2":
         return _new(-self._p, -self._q, self._d)
@@ -122,20 +87,12 @@ class QSqrt2:
         d, e = self._d, other._d
         return _new(self._p * e + other._p * d, self._q * e + other._q * d, d * e)
 
-    __radd__ = __add__
-
     def __sub__(self, other: object) -> "QSqrt2":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         d, e = self._d, other._d
         return _new(self._p * e - other._p * d, self._q * e - other._q * d, d * e)
-
-    def __rsub__(self, other: object) -> "QSqrt2":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other: object) -> "QSqrt2":
         other = _coerce(other)
@@ -173,12 +130,11 @@ def _new(p: int, q: int, d: int) -> QSqrt2:
 
 
 def _coerce(x: object) -> QSqrt2 | None:
+    """``x`` as a QSqrt2 when it is one or a plain int (not a bool)."""
     if isinstance(x, QSqrt2):
         return x
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, int) or is_fraction(x):
-        return _new(x.numerator, 0, x.denominator)
+    if type(x) is int:
+        return _new(x, 0, 1)
     return None
 
 

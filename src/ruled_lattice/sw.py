@@ -17,6 +17,7 @@ reduces exist at all (none up to 9 blowups, (3; 1^10) from 10 on).
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from math import isqrt
 from typing import Iterator, Optional
@@ -33,7 +34,11 @@ class OutOfScopeError(SWError):
 
 
 class SphereCandidate(Record):
-    """A candidate sphere class kL - sum m_i E_i, stored by its pairings."""
+    """A candidate sphere class kL - sum m_i E_i, stored by its pairings.
+
+    The constructor checks its integers; the library's own candidates, the
+    normal form and the search's, are ``_trusted``.
+    """
 
     k: int
     m: tuple[int, ...]
@@ -62,7 +67,7 @@ class SphereCandidate(Record):
 
     def normalized(self) -> "SphereCandidate":
         """Twists and transpositions sort the m_i nonnegative descending."""
-        return SphereCandidate(self.k, tuple(sorted(map(abs, self.m), reverse=True)))
+        return SphereCandidate._trusted(self.k, tuple(sorted(map(abs, self.m), reverse=True)))
 
     def __str__(self) -> str:
         return f"({self.k}; {','.join(str(x) for x in self.m)})"
@@ -135,6 +140,12 @@ def certify_sphere_class(c: SphereCandidate) -> CertifyResult:
     return CertifyResult(Verdict.SW_PROHIBITED)
 
 
+def _check_index(blowups: int) -> None:
+    # a multiplicity vector is a tuple of ``blowups`` entries
+    if blowups > sys.maxsize:
+        raise SWError(f"blowups must be at most {sys.maxsize}")
+
+
 def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
     """Maximize sum m_i^2 over sorted nonnegative m with m_1+m_2+m_3 <= k.
 
@@ -147,6 +158,7 @@ def extremal_sequence(k: int, blowups: int) -> tuple[tuple[int, ...], int]:
     """
     if k < 3 or blowups < 3:
         raise SWError("extremal_sequence needs k >= 3 and at least 3 blowups")
+    _check_index(blowups)
 
     def value(t: int) -> int:
         return (k - 2 * t) ** 2 + (blowups - 1) * t * t
@@ -181,7 +193,7 @@ def _search_one_k(blowups: int, k: int) -> Iterator[SphereCandidate]:
                 stack[-1][0] -= 1
         elif rest == 0:
             m = (*(s[0] for s in stack), *(0,) * (blowups - idx - 1))
-            yield SphereCandidate(k, m)
+            yield SphereCandidate._trusted(k, m)
             slot[0] -= 1
         else:
             room = room - v if idx < 3 else room
@@ -199,6 +211,7 @@ def dichotomy_search(blowups: int, k_max: int) -> list[SphereCandidate]:
     """
     if blowups < 3:
         raise SWError("dichotomy_search needs at least 3 blowups")
+    _check_index(blowups)
     found: list[SphereCandidate] = []
     for k in range(2, k_max + 1):
         for c in _search_one_k(blowups, k):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruled_lattice.base import SMALL_CASE_LABELS
 from ruled_lattice.cli import (
     _COMMANDS,
     _COMMON_FLAGS,
@@ -664,6 +665,17 @@ INPUT_PATH_CASES = [
         EXIT_OK,
         '"in_orbit": false',
     ),
+    # a size no Python index holds is refused where it enters, not a traceback
+    *(
+        ((name, *flags, f"--ell={10**30}"), None, EXIT_USAGE, "error: blowups must be at most ")
+        for name, *flags in (
+            ("extremal", "--k=5"),
+            ("sw-search", "--k-max=3"),
+            ("describe", "--model=ruled"),
+            ("manifold-info", "--model=rational"),
+            ("coxeter-check", "--model=ruled"),
+        )
+    ),
 ]
 
 
@@ -709,6 +721,151 @@ def test_input_from_stdin(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "sw-check", "--input", "-")
     assert code == EXIT_OK
     assert "constraint" in out.lower()
+
+
+_THREE_CYCLE = {
+    "system": {"names": ["s1", "s2", "s3"], "matrix": [[1, 3, 3], [3, 1, 4], [3, 4, 1]]}
+}
+
+
+def test_an_irrational_gram_determinant_end_to_end(capsys, monkeypatch):
+    # a triangle with one label 4: the elimination takes the sign of an
+    # irrational pivot, and the determinant prints with its sqrt2
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_THREE_CYCLE)))
+    code, out, err = run(capsys, "coxeter-finite", "--input", "-")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == "infinite"
+    assert "gram determinant: -1/4*sqrt2" in out.splitlines()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_THREE_CYCLE)))
+    code, out, _ = run(capsys, "coxeter-finite", "--input", "-", "--json")
+    assert json.loads(out)["result"]["gram_determinant"] == "-1/4*sqrt2"
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "coxeter-finite", "--input", "-", "--json") == (code, out, "")
+
+
+# ---------------------------------------------------------------------------
+# drawn --input payloads: every subcommand exits 0, 1 or 2, cleanly
+
+# small sizes, and two no Python index holds
+_SIZES = st.one_of(st.integers(0, 12), st.sampled_from((2**63, 10**30)))
+_MODEL = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("rational", "ruled")), "blowups": _SIZES},
+    # genus stays small: a ruled describe lists 2 * genus factors
+    optional={"genus": st.integers(-1, 2)},
+)
+# small periods, so that no walk runs long, and texts the reader refuses
+# or reads as digits of another script
+_PERIOD = st.sampled_from((0, 1, 2, 3, 5, "1/2", "7/3", "-1", "1/0", "\u0663", 0.5))
+_GENERATOR_NAMES = st.lists(st.sampled_from(("s0", "s1", "s2", "s3", "t")), max_size=3)
+
+
+@st.composite
+def _coxeter_dict(draw):
+    """A dense order matrix over a few names, repeats and bad orders included."""
+    names = draw(st.lists(st.sampled_from(("s1", "s2", "s3", "s4")), max_size=4))
+    matrix = [[1] * len(names) for _ in names]
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            matrix[i][j] = matrix[j][i] = draw(st.sampled_from((2, 2, 3, 4, "inf", 5)))
+    return {"names": names, "matrix": matrix}
+
+
+# the object a gather hands the run, under a key no flag of its command has
+_GATHERED_KEYS = {
+    "reduce-class": "target",
+    "coxeter-finite": "system",
+    "crystal-check": "crystal",
+    "describe": "target",
+}
+
+
+@st.composite
+def _payload(draw, name):
+    """The keys a flag or gather of ``name`` writes, now and then but one,
+    each in the shapes it takes.  One drawn model serves every key that
+    holds one, and most vectors have its rank, so that the runs get past
+    the length checks."""
+    model = draw(_MODEL)
+    rank = model["blowups"] + (1 if model["kind"] == "rational" else 2)
+    small = st.one_of(st.integers(-2, 2), st.sampled_from((10**12, -(10**12))))
+    vector = st.lists(small, max_size=14)
+    if rank <= 14:
+        # E_l, of square -1 in both models, gets past the square checks too
+        last = (0,) * (rank - 1) + (1,)
+        vector = st.one_of(st.lists(small, min_size=rank, max_size=rank), st.just(last), vector)
+    models = st.one_of(st.just(model), _MODEL)
+    periods = st.lists(_PERIOD, max_size=13)
+    if rank <= 14:
+        exceptional = model["blowups"]
+        periods = st.one_of(st.lists(_PERIOD, min_size=exceptional, max_size=exceptional), periods)
+    values = {
+        "model": models,
+        **{key: vector for key in ("a", "b", "mirror", "seed", "coeffs", "m")},
+        "target": st.one_of(
+            vector,
+            st.fixed_dictionaries({"model": models, "coeffs": vector}),
+            st.fixed_dictionaries(
+                {},
+                optional={"label": st.sampled_from((*SMALL_CASE_LABELS, "T4")), "model": models},
+            ),
+        ),
+        "bound": st.integers(0, 1),
+        "generators": _GENERATOR_NAMES,
+        "periods": st.one_of(
+            st.lists(_PERIOD.map(str), max_size=14),
+            st.fixed_dictionaries(
+                {"model": models, "line": _PERIOD, "fiber": _PERIOD, "section": _PERIOD,
+                 "exceptional": periods},
+            ),
+        ),
+        "system": st.one_of(
+            st.sampled_from(("A3", "E8", "E9", "BE6", "BD5", "L4-3-4-4", "I2-inf", "B1")),
+            _coxeter_dict(),
+        ),
+        "short": _GENERATOR_NAMES,
+        "crystal": st.fixed_dictionaries({"system": _coxeter_dict(), "short": _GENERATOR_NAMES}),
+        "k": _SIZES,
+        "blowups": _SIZES,
+        "k_max": st.integers(0, 6),
+        "matrix": st.one_of(
+            st.lists(st.lists(st.integers(-3, 3), max_size=4), max_size=4),
+            st.sampled_from(
+                ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, -2, -2], [2, -1, -2], [2, -2, -1]])
+            ),
+        ),
+    }
+    keys = [f.key for f in _COMMANDS[name].flags if f.key is not None]
+    keys += [_GATHERED_KEYS[name]] if name in _GATHERED_KEYS else []
+    missing = draw(st.sampled_from((None, None, None, *keys)))
+    return {key: draw(values[key]) for key in keys if key != missing}
+
+
+def _call(argv, stdin: str):
+    """``main(argv)`` with ``stdin`` as standard input: (code, stdout, stderr)."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_drawn_input_payload_exits_cleanly(name, data):
+    payload = data.draw(_payload(name))
+    argv = [name, "--input", "-", "--json"]
+    code, out, err = _call(argv, json.dumps(payload))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_FOUND), err
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        assert _call(argv, out) == (code, out, "")
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "cli_corpus.json")
@@ -786,7 +943,9 @@ def test_reflect_at_high_rank_uses_the_root_action(capsys, monkeypatch):
     def dense(*args):
         raise AssertionError("reflect built a dense matrix")
 
+    # the constructor and _trusted, which the library's derived matrices use
     monkeypatch.setattr(lattice.LatticeAutomorphism, "__init__", dense)
+    monkeypatch.setattr(lattice.LatticeAutomorphism, "_trusted", dense)
     l = 3000
     mirror = [1, -1, -1] + [0] * (l - 2)  # L - E1 - E2, square -1
     target = [3] + [i % 7 - 3 for i in range(l)]

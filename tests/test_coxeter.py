@@ -28,7 +28,6 @@ from ruled_lattice.base import InternalConsistencyError, LatticeError
 from ruled_lattice.lattice import rational_model, ruled_model
 from ruled_lattice.qsqrt2 import ONE, ZERO, QSqrt2
 from ruled_lattice.weyl import expected_coxeter_system
-from fractions import Fraction
 
 SMALL_NAMES = ("L4-3-4-4", "L3-4-4", "L3-4-INF", "I2-INF")
 
@@ -438,7 +437,7 @@ def test_component_types_match_the_gram_determinant_on_random_forests():
         letters.update(t[0] for t in types)
         assert sum(int(t[1:]) for t in types) == system.rank
         cartan = math.prod(_CARTAN_DET[t[0]](int(t[1:])) for t in types)
-        assert gram_determinant(system) == QSqrt2(Fraction(cartan, 2**system.rank)), system
+        assert gram_determinant(system) == QSqrt2(cartan) / 2**system.rank, system
     assert letters == set("ABDEF")
 
 
@@ -452,16 +451,16 @@ def test_component_types_refuse_a_disagreeing_elimination(monkeypatch):
 
 def test_gram_determinant_values():
     assert gram_determinant(family("A", 1)) == ONE
-    assert gram_determinant(family("A", 2)) == QSqrt2(Fraction(3, 4))
+    assert gram_determinant(family("A", 2)) == QSqrt2(3) / 4
     # affine systems are exactly degenerate
     assert gram_determinant(family("E", 9)) == ZERO
     assert gram_determinant(family("BD", 5)) == ZERO
     assert gram_determinant(from_name("L3-4-4")) == ZERO
     # E8: det(Cartan)/2^8
-    assert gram_determinant(family("E", 8)) == QSqrt2(Fraction(1, 256))
+    assert gram_determinant(family("E", 8)) == QSqrt2(1) / 256
 
 
-_COS = {2: ZERO, 3: QSqrt2(Fraction(1, 2)), 4: QSqrt2(0, Fraction(1, 2)), INF: ONE}
+_COS = {2: ZERO, 3: QSqrt2(1) / 2, 4: QSqrt2(0, 1) / 2, INF: ONE}
 
 
 def _dense_gram(system) -> list:
@@ -536,7 +535,7 @@ def test_elimination_is_linear_along_a_tree():
     start = time.perf_counter()
     system = family("BE", 1500)
     assert not is_finite_type(system)
-    assert gram_determinant(system) == QSqrt2(Fraction(-1, 2**1499))
+    assert gram_determinant(system) == QSqrt2(-1) / 2**1499
     assert time.perf_counter() - start < 1.0
 
 
@@ -573,7 +572,7 @@ def test_elimination_matches_leibniz_minors():
         neg = [[-x for x in row] for row in _dense_gram(system)]
         minors = [_leibniz_det([row[:k] for row in neg[:k]]) for k in range(1, n + 1)]
         assert gram_determinant(system) == minors[-1], system
-        assert is_finite_type(system) == all(d > 0 for d in minors), system
+        assert is_finite_type(system) == all(d.sign() > 0 for d in minors), system
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Models, classes, the pairing, reflections and the positive cone."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,14 @@ def test_model_validation():
         ruled_model(2, genus=0)
     with pytest.raises(LatticeError):
         ManifoldModel("rational", 2)  # type: ignore[arg-type]
+    # the rank indexes every basis and matrix, so it must fit an index
+    largest = (rational_model(sys.maxsize - 1), ruled_model(sys.maxsize - 2))
+    assert [model.rank for model in largest] == [sys.maxsize] * 2
+    for model, blowups in ((rational_model, sys.maxsize), (ruled_model, sys.maxsize - 1)):
+        with pytest.raises(LatticeError, match=f"^blowups must be at most {blowups - 1}$"):
+            model(blowups)
+    with pytest.raises(LatticeError, match="^blowups must be at most "):
+        ManifoldModel.from_json_dict({"kind": "ruled", "blowups": 10**30})
 
 
 def test_gram_is_an_involution():
@@ -322,6 +331,20 @@ def test_cone_preservation_flag():
     minus = LatticeAutomorphism(R3, tuple(tuple(-x for x in row) for row in ident.matrix))
     assert minus.preserves_form()
     assert not minus.is_cone_preserving()
+
+
+def test_derived_matrices_equal_the_checked_constructor():
+    # identity, products and reflection matrices skip the constructor's
+    # checks; each equals what the constructor builds from its entries
+    m = reflection_along(_extra_wall(R3)) @ LatticeAutomorphism.identity(R3)
+    for derived in (LatticeAutomorphism.identity(U2), m, m @ m):
+        assert LatticeAutomorphism(derived.model, derived.matrix) == derived
+        assert all(type(x) is int for row in derived.matrix for x in row)
+    for bad in (1.0, True):
+        with pytest.raises(LatticeError, match="coefficients must be integers"):
+            LatticeAutomorphism(R3, ((bad, 0, 0, 0),) + m.matrix[1:])
+    with pytest.raises(LatticeError, match="matrix must be 4x4"):
+        LatticeAutomorphism(R3, m.matrix[1:])
 
 
 def _preserves_form_densely(m):

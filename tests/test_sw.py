@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,10 @@ def test_candidate_normalization():
     assert not c.is_normalized()
     assert c.normalized() == SphereCandidate(2, (2, 1, 1, 0))
     assert c.normalized().q == c.q  # twists and swaps preserve the square
+    # the normal form and the search's candidates are built trusted: each
+    # equals what the checking constructor builds from its fields
+    for d in (c.normalized(), *dichotomy_search(10, 4)):
+        assert SphereCandidate(d.k, d.m) == d and type(d.m) is tuple
 
 
 def test_candidate_rejects_non_integers():
@@ -216,6 +221,9 @@ def test_extremal_bounds():
         extremal_sequence(2, 5)
     with pytest.raises(SWError):
         extremal_sequence(5, 2)
+    # a multiplicity vector is a tuple of ``blowups`` entries
+    with pytest.raises(SWError, match=f"^blowups must be at most {sys.maxsize}$"):
+        extremal_sequence(5, sys.maxsize + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +285,9 @@ def test_search_edge_cases():
     assert dichotomy_search(5, 1) == []
     with pytest.raises(SWError):
         dichotomy_search(2, 10)
+    for k_max in (1, 3):  # refused before any k is scanned
+        with pytest.raises(SWError, match=f"^blowups must be at most {sys.maxsize}$"):
+            dichotomy_search(10**30, k_max)
 
 
 # ---------------------------------------------------------------------------
